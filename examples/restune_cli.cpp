@@ -31,6 +31,7 @@
 #include "obs/trace.h"
 #include "service/tuning_client.h"
 #include "tuner/harness.h"
+#include "tuner/supervisor.h"
 
 using namespace restune;
 
@@ -103,20 +104,17 @@ int RunRemoteSession(const std::string& server_address,
                    rec.status().ToString().c_str());
       return 1;
     }
+    // Classify the replay the way the server expects: a replay that could
+    // not run is a crash and corrupted metrics are a fault, never data.
     const Result<EvaluationOutcome> outcome = sim->TryEvaluate(rec->theta);
-    if (!outcome.ok()) {
-      std::fprintf(stderr, "evaluate: %s\n",
-                   outcome.status().ToString().c_str());
-      return 1;
-    }
     EvaluationReport report;
     report.session_id = *session;
     report.iteration = rec->iteration;
-    if (outcome->ok()) {
+    report.fault = EvaluationSupervisor::ClassifyOutcome(outcome);
+    if (report.fault == FaultKind::kNone) {
       report.observation = outcome->observation();
       report.observation.theta = rec->theta;
     } else {
-      report.fault = outcome->fault().kind;
       std::printf("  iteration %d failed: %s\n", rec->iteration,
                   FaultKindName(report.fault));
     }

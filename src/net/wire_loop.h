@@ -25,8 +25,10 @@
 /// for all shards in one `ThreadPool::ParallelFor`, so handlers for
 /// different shards execute concurrently while each session's frames stay
 /// strictly ordered. The handler must therefore be thread-safe across
-/// sessions (ResTuneServer is — its mutex serializes advisor work) but
-/// never sees two frames of one session at once. `RequestStop` is the one
+/// sessions (ResTuneServer is — each tuning session has its own lock, so
+/// handlers on different connections run their advisor work in parallel)
+/// but never sees two frames of one session at once. A tick's dispatch
+/// phase ends when its slowest shard does. `RequestStop` is the one
 /// cross-thread entry point (an atomic flag).
 ///
 /// Admission control and backpressure:

@@ -1,20 +1,8 @@
 #include "service/restune_client.h"
 
-#include <cmath>
+#include "tuner/supervisor.h"
 
 namespace restune {
-namespace {
-
-/// Client-side sanity check mirroring the evaluation supervisor's: a replay
-/// that "succeeds" with non-finite or non-positive metrics is reported as a
-/// corrupted-metrics fault, never shipped to the server as data.
-bool MetricsCorrupted(const Observation& obs) {
-  return !std::isfinite(obs.res) || !std::isfinite(obs.tps) ||
-         !std::isfinite(obs.lat) || obs.tps <= 0.0 || obs.lat <= 0.0 ||
-         obs.res < 0.0;
-}
-
-}  // namespace
 
 ResTuneClient::ResTuneClient(DbInstanceSimulator* simulator,
                              const WorkloadCharacterizer* characterizer)
@@ -49,14 +37,14 @@ Result<EvaluationReport> ResTuneClient::EvaluateRecommendation(
   EvaluationReport report;
   report.session_id = recommendation.session_id;
   report.iteration = recommendation.iteration;
-  RESTUNE_ASSIGN_OR_RETURN(const EvaluationOutcome outcome,
-                           simulator_->TryEvaluate(recommendation.theta));
-  if (!outcome.ok()) {
-    report.fault = outcome.fault().kind;
-  } else if (MetricsCorrupted(outcome.observation())) {
-    report.fault = FaultKind::kCorruptedMetrics;
-  } else {
-    report.observation = outcome.observation();
+  const Result<EvaluationOutcome> outcome =
+      simulator_->TryEvaluate(recommendation.theta);
+  if (!outcome.ok()) return outcome.status();
+  // A replay that "succeeds" with garbage metrics is reported as a
+  // corrupted-metrics fault, never shipped to the server as data.
+  report.fault = EvaluationSupervisor::ClassifyOutcome(outcome);
+  if (report.fault == FaultKind::kNone) {
+    report.observation = outcome->observation();
   }
   return report;
 }

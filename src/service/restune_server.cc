@@ -1,11 +1,14 @@
 #include "service/restune_server.h"
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace restune {
@@ -91,6 +94,70 @@ constexpr int kVersion = 2;
 /// arbitrarily long.
 constexpr int kMaxBatchWidth = 64;
 
+/// Formats checkpoint text into a string at the checkpoint's number
+/// precision, so pieces formatted apart concatenate to the bytes one
+/// stream would have written.
+template <typename WriteFn>
+std::string FormatText(const WriteFn& write) {
+  std::ostringstream out;
+  out.precision(17);  // exact double round-trip
+  write(&out);
+  return out.str();
+}
+
+void WriteTask(std::ostream* out, const TuningTask& task) {
+  *out << "task\n";
+  WriteString(out, task.name);
+  WriteString(out, task.hardware);
+  WriteString(out, task.workload);
+  *out << "meta ";
+  WriteVector(out, task.meta_feature);
+  *out << "obs " << task.observations.size() << '\n';
+  for (const Observation& obs : task.observations) {
+    WriteObservation(out, obs);
+  }
+}
+
+void WriteSummary(std::ostream* out, uint64_t id,
+                  const SessionSummary& summary) {
+  *out << "summary " << id << ' ' << summary.iterations << ' '
+       << summary.best_feasible_res << ' '
+       << (summary.archived_to_repository ? 1 : 0) << '\n';
+  WriteVector(out, summary.best_theta);
+}
+
+/// `WriteEventRecord` text of `log[first..]`.
+std::string EventRecordsText(const std::vector<EventRecord>& log,
+                             size_t first) {
+  return FormatText([&log, first](std::ostream* out) {
+    for (size_t e = first; e < log.size(); ++e) WriteEventRecord(out, log[e]);
+  });
+}
+
+Status FinishedError(uint64_t session_id) {
+  return Status::FailedPrecondition(StringPrintf(
+      "session %llu already finished", (unsigned long long)session_id));
+}
+
+struct CheckpointMetrics {
+  obs::Histogram* seconds;
+  obs::Counter* failures;
+
+  static CheckpointMetrics* Get() {
+    static CheckpointMetrics* m = [] {
+      auto* registry = obs::MetricsRegistry::Global();
+      // restune-lint: allow(naked-new) -- intentional leak, handle cache
+      auto* metrics = new CheckpointMetrics();
+      metrics->seconds =
+          registry->GetHistogram("restune_server_checkpoint_seconds");
+      metrics->failures =
+          registry->GetCounter("restune_server_checkpoint_failures_total");
+      return metrics;
+    }();
+    return m;
+  }
+};
+
 }  // namespace
 
 ResTuneServer::ResTuneServer(ServerOptions options)
@@ -102,7 +169,8 @@ Status ResTuneServer::AddHistoricalTask(TuningTask task) {
 }
 
 std::vector<BaseLearner> ResTuneServer::TrainSessionLearners(
-    size_t knob_dim, size_t repository_snapshot) const {
+    const DataRepository& repository, size_t knob_dim,
+    size_t repository_snapshot) {
   // Knowledge extraction: base-learners over histories with a matching
   // knob space (dimension is the compatibility proxy in this in-process
   // server; a deployment would key on a space identifier). Only the first
@@ -110,16 +178,76 @@ std::vector<BaseLearner> ResTuneServer::TrainSessionLearners(
   // the exact ensemble the session originally saw even if more tasks were
   // archived afterwards.
   size_t index = 0;
-  return repository_.TrainBaseLearners([&](const TuningTask& t) {
+  return repository.TrainBaseLearners([&](const TuningTask& t) {
     const size_t i = index++;
     return i < repository_snapshot && !t.observations.empty() &&
            t.observations[0].theta.size() == knob_dim;
   });
 }
 
+Result<std::shared_ptr<ResTuneServer::Session>>
+ResTuneServer::FindActiveSession(uint64_t session_id) const {
+  MutexLock lock(&mu_);
+  if (finished_.count(session_id) > 0) return FinishedError(session_id);
+  const auto it = sessions_.find(session_id);
+  if (it == sessions_.end()) {
+    return Status::NotFound(StringPrintf("no session %llu",
+                                         (unsigned long long)session_id));
+  }
+  return it->second;
+}
+
+ResTuneServer::Session::Session(SessionState initial)
+    : state(std::move(initial)) {
+  std::ostringstream body;
+  body.precision(17);  // exact double round-trip
+  WriteString(&body, state.task_name);
+  body << "meta ";
+  WriteVector(&body, state.meta_feature);
+  body << "sla " << state.sla.min_tps << ' ' << state.sla.max_lat << '\n';
+  body << "default_theta ";
+  WriteVector(&body, state.default_theta);
+  body << "default_obs\n";
+  WriteObservation(&body, state.default_observation);
+  record.knob_dim = state.knob_dim;
+  record.repository_snapshot = state.repository_snapshot;
+  record.body = body.str();
+}
+
+void ResTuneServer::PublishRecord(Session* session) {
+  MutexLock lock(&session->record_mu);
+  SessionRecord& record = session->record;
+  record.iteration = session->state.iteration;
+  record.has_feasible = session->state.has_feasible;
+  // The log IS the durable session: outstanding recommendations are the
+  // launches without a matching completion and are re-derived at load.
+  if (record.num_events < session->state.log.size()) {
+    record.log_text += EventRecordsText(session->state.log, record.num_events);
+    record.num_events = session->state.log.size();
+  }
+}
+
+bool ResTuneServer::CountMutations(uint64_t n) {
+  // Relaxed: the count only elects which call writes a checkpoint; what the
+  // checkpoint contains is ordered by the session and record locks.
+  const uint64_t before = mutations_.fetch_add(n, std::memory_order_relaxed);
+  if (options_.checkpoint_path.empty() || options_.checkpoint_period <= 0) {
+    return false;
+  }
+  const uint64_t period = static_cast<uint64_t>(options_.checkpoint_period);
+  return before / period != (before + n) / period;
+}
+
+void ResTuneServer::AutoCheckpoint() const {
+  const Status status = SaveCheckpointFile(options_.checkpoint_path);
+  if (!status.ok()) {
+    RESTUNE_LOG(kWarning) << "server auto-checkpoint failed: "
+                          << status.ToString();
+  }
+}
+
 Result<uint64_t> ResTuneServer::StartSession(
     const TargetTaskSubmission& submission) {
-  MutexLock lock(&mu_);
   if (submission.knob_dim == 0) {
     return Status::InvalidArgument("knob_dim must be positive");
   }
@@ -137,353 +265,389 @@ Result<uint64_t> ResTuneServer::StartSession(
   }
   RESTUNE_RETURN_IF_ERROR(ValidateMetrics(submission.default_observation));
 
-  Session session;
-  session.task_name = submission.task_name;
-  session.meta_feature = submission.meta_feature;
-  session.knob_dim = submission.knob_dim;
-  session.default_theta = submission.default_theta;
-  session.default_observation = submission.default_observation;
-  session.repository_snapshot = repository_.num_tasks();
-  session.advisor = std::make_unique<ResTuneAdvisor>(
-      submission.knob_dim, submission.default_theta,
-      TrainSessionLearners(session.knob_dim, session.repository_snapshot),
+  SessionState state;
+  state.task_name = submission.task_name;
+  state.meta_feature = submission.meta_feature;
+  state.knob_dim = submission.knob_dim;
+  state.default_theta = submission.default_theta;
+  state.default_observation = submission.default_observation;
+  // The id is taken in arrival order, with the repository snapshot; the
+  // advisor is built outside the lock. An id whose session then fails to
+  // start is not reused.
+  uint64_t id = 0;
+  std::vector<BaseLearner> learners;
+  {
+    MutexLock lock(&mu_);
+    id = next_session_id_++;
+    state.repository_snapshot = repository_.num_tasks();
+    learners = TrainSessionLearners(repository_, state.knob_dim,
+                                    state.repository_snapshot);
+  }
+  state.advisor = std::make_unique<ResTuneAdvisor>(
+      submission.knob_dim, submission.default_theta, std::move(learners),
       submission.meta_feature, options_.advisor);
-  session.sla = SlaConstraints{submission.default_observation.tps,
-                               submission.default_observation.lat};
+  state.sla = SlaConstraints{submission.default_observation.tps,
+                             submission.default_observation.lat};
   RESTUNE_RETURN_IF_ERROR(
-      session.advisor->Begin(submission.default_observation, session.sla));
-  session.observations.push_back(submission.default_observation);
-  session.best_theta = submission.default_theta;
-  session.best_feasible_res = submission.default_observation.res;
-  session.has_feasible = true;
+      state.advisor->Begin(submission.default_observation, state.sla));
+  state.observations.push_back(submission.default_observation);
+  state.best_theta = submission.default_theta;
+  state.best_feasible_res = submission.default_observation.res;
+  state.has_feasible = true;
   if (options_.use_event_sessions) {
-    session.safety = std::make_unique<SafetyController>(options_.safety);
-    session.safety->SetBaseline(submission.default_theta,
-                                submission.default_observation.res);
+    state.safety = std::make_unique<SafetyController>(options_.safety);
+    state.safety->SetBaseline(submission.default_theta,
+                              submission.default_observation.res);
   }
 
-  const uint64_t id = next_session_id_++;
-  sessions_.emplace(id, std::move(session));
-  MaybeAutoCheckpoint();
+  auto session = std::make_shared<Session>(std::move(state));
+  Session* s = session.get();
+  {
+    MutexLock lock(&s->mu);
+    PublishRecord(s);  // before the session becomes visible to snapshots
+  }
+  {
+    MutexLock lock(&mu_);
+    sessions_.emplace(id, std::move(session));
+  }
+  if (CountMutations(1)) AutoCheckpoint();
   return id;
 }
 
 Result<KnobRecommendation> ResTuneServer::Recommend(uint64_t session_id) {
-  MutexLock lock(&mu_);
-  if (finished_.count(session_id) > 0) {
-    return Status::FailedPrecondition(
-        StringPrintf("session %llu already finished",
-                     (unsigned long long)session_id));
+  RESTUNE_ASSIGN_OR_RETURN(const std::shared_ptr<Session> session,
+                           FindActiveSession(session_id));
+  Session* s = session.get();
+  KnobRecommendation rec;
+  {
+    MutexLock lock(&s->mu);
+    if (s->closed) return FinishedError(session_id);
+    // At-least-once delivery: while recommendations are outstanding,
+    // re-asking returns the oldest instead of advancing the advisor — a
+    // client retry after a lost response must not burn iterations or fork
+    // the GP state.
+    if (!s->state.outstanding.empty()) {
+      const auto& [iteration, theta] = *s->state.outstanding.begin();
+      rec.session_id = session_id;
+      rec.iteration = iteration;
+      rec.theta = theta;
+      return rec;
+    }
+    RESTUNE_ASSIGN_OR_RETURN(rec, IssueRecommendation(session_id, s));
+    PublishRecord(s);
   }
-  const auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return Status::NotFound(StringPrintf("no session %llu",
-                                         (unsigned long long)session_id));
-  }
-  Session& session = it->second;
-  // At-least-once delivery: while recommendations are outstanding,
-  // re-asking returns the oldest instead of advancing the advisor — a
-  // client retry after a lost response must not burn iterations or fork
-  // the GP state.
-  if (!session.outstanding.empty()) {
-    const auto& [iteration, theta] = *session.outstanding.begin();
-    KnobRecommendation rec;
-    rec.session_id = session_id;
-    rec.iteration = iteration;
-    rec.theta = theta;
-    return rec;
-  }
-  return IssueRecommendation(session_id, &session);
+  if (CountMutations(1)) AutoCheckpoint();
+  return rec;
 }
 
 Result<KnobRecommendation> ResTuneServer::IssueRecommendation(
     uint64_t session_id, Session* session) {
+  SessionState& state = session->state;
   // Constant-liar batching: suggestions are penalized near every θ still
   // awaiting its report, so a speculative batch diversifies instead of
   // re-proposing the same optimum `width` times.
   std::vector<Vector> pending;
-  pending.reserve(session->outstanding.size());
-  for (const auto& [iteration, theta] : session->outstanding) {
+  pending.reserve(state.outstanding.size());
+  for (const auto& [iteration, theta] : state.outstanding) {
     pending.push_back(theta);
   }
 
   EventRecord launch;
   launch.kind = EventKind::kLaunch;
   Vector theta;
-  if (session->safety != nullptr) {
+  if (state.safety != nullptr) {
     // Event-session driver (tuner/event_session.cc semantics): frozen
     // sessions pin the last known-safe config — deliberately WITHOUT an
     // advisor call, so checkpoint replay does not consume advisor RNG for
     // the probe — and constrained sessions clamp suggestions into the
     // trust region around it.
-    SessionMode mode = session->safety->mode();
+    SessionMode mode = state.safety->mode();
     bool frozen = mode == SessionMode::kFrozen;
     if (frozen) {
-      theta = session->safety->safe_theta();
+      theta = state.safety->safe_theta();
     } else {
       if (mode == SessionMode::kConstrained) {
-        session->advisor->SetTrustRegion(session->safety->safe_theta(),
-                                         session->safety->trust_radius());
+        state.advisor->SetTrustRegion(state.safety->safe_theta(),
+                                      state.safety->trust_radius());
       } else {
-        session->advisor->ClearTrustRegion();
+        state.advisor->ClearTrustRegion();
       }
-      Result<Vector> suggestion = session->advisor->SuggestNextAsync(pending);
+      Result<Vector> suggestion = state.advisor->SuggestNextAsync(pending);
       if (!suggestion.ok()) {
         if (suggestion.status().code() == StatusCode::kOutOfRange) {
           return suggestion.status();  // advisor exhausted: a real error
         }
         // Surrogate failure: drop to frozen and serve the safe config —
         // an always-on service keeps answering with something safe.
-        mode = session->safety->OnAdvisorFailure();
+        mode = state.safety->OnAdvisorFailure();
         frozen = true;
-        theta = session->safety->safe_theta();
+        theta = state.safety->safe_theta();
       } else {
         theta = std::move(suggestion).value();
       }
     }
     launch.frozen = frozen;
     launch.mode = mode;
-    launch.sla_violated = session->safety->sla_violated();
+    launch.sla_violated = state.safety->sla_violated();
   } else {
-    RESTUNE_ASSIGN_OR_RETURN(theta,
-                             session->advisor->SuggestNextAsync(pending));
+    RESTUNE_ASSIGN_OR_RETURN(theta, state.advisor->SuggestNextAsync(pending));
   }
 
   KnobRecommendation rec;
   rec.session_id = session_id;
-  rec.iteration = ++session->iteration;
+  rec.iteration = ++state.iteration;
   rec.theta = theta;
 
   launch.seq = static_cast<uint64_t>(rec.iteration);
   launch.theta = theta;
-  session->log.push_back(launch);
-  session->outstanding.emplace(rec.iteration, std::move(theta));
-  MaybeAutoCheckpoint();
+  state.log.push_back(launch);
+  state.outstanding.emplace(rec.iteration, std::move(theta));
   return rec;
 }
 
 Result<std::vector<KnobRecommendation>> ResTuneServer::RecommendBatch(
     uint64_t session_id, int width) {
-  MutexLock lock(&mu_);
   if (width < 1 || width > kMaxBatchWidth) {
     return Status::InvalidArgument(
         StringPrintf("batch width must be in [1, %d]", kMaxBatchWidth));
   }
-  if (finished_.count(session_id) > 0) {
-    return Status::FailedPrecondition(
-        StringPrintf("session %llu already finished",
-                     (unsigned long long)session_id));
-  }
-  const auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return Status::NotFound(StringPrintf("no session %llu",
-                                         (unsigned long long)session_id));
-  }
-  Session& session = it->second;
-  while (session.outstanding.size() < static_cast<size_t>(width)) {
-    RESTUNE_RETURN_IF_ERROR(
-        IssueRecommendation(session_id, &session).status());
-  }
+  RESTUNE_ASSIGN_OR_RETURN(const std::shared_ptr<Session> session,
+                           FindActiveSession(session_id));
+  Session* s = session.get();
+  uint64_t issued = 0;
+  Status status = Status::OK();
   std::vector<KnobRecommendation> batch;
-  batch.reserve(session.outstanding.size());
-  for (const auto& [iteration, theta] : session.outstanding) {
-    KnobRecommendation rec;
-    rec.session_id = session_id;
-    rec.iteration = iteration;
-    rec.theta = theta;
-    batch.push_back(std::move(rec));
+  {
+    MutexLock lock(&s->mu);
+    if (s->closed) return FinishedError(session_id);
+    while (s->state.outstanding.size() < static_cast<size_t>(width)) {
+      status = IssueRecommendation(session_id, s).status();
+      if (!status.ok()) break;
+      ++issued;
+    }
+    // Recommendations issued before a failure stay issued and durable.
+    if (issued > 0) PublishRecord(s);
+    if (status.ok()) {
+      batch.reserve(s->state.outstanding.size());
+      for (const auto& [iteration, theta] : s->state.outstanding) {
+        KnobRecommendation rec;
+        rec.session_id = session_id;
+        rec.iteration = iteration;
+        rec.theta = theta;
+        batch.push_back(std::move(rec));
+      }
+    }
   }
+  if (CountMutations(issued)) AutoCheckpoint();
+  if (!status.ok()) return status;
   return batch;
 }
 
 Status ResTuneServer::ReportEvaluation(const EvaluationReport& report) {
-  MutexLock lock(&mu_);
-  if (finished_.count(report.session_id) > 0) {
-    return Status::FailedPrecondition("session already finished");
-  }
-  const auto it = sessions_.find(report.session_id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session in evaluation report");
-  }
-  Session& session = it->second;
-  if (report.iteration <= 0 || report.iteration > session.iteration) {
-    return Status::InvalidArgument(
-        StringPrintf("report for iteration %d, but session is at %d",
-                     report.iteration, session.iteration));
-  }
-  const auto pending = session.outstanding.find(report.iteration);
-  if (pending == session.outstanding.end()) {
-    // The iteration was already processed — a duplicate from a client retry.
-    return Status::OK();
-  }
+  RESTUNE_ASSIGN_OR_RETURN(const std::shared_ptr<Session> session,
+                           FindActiveSession(report.session_id));
+  Session* s = session.get();
+  {
+    MutexLock lock(&s->mu);
+    if (s->closed) return FinishedError(report.session_id);
+    SessionState& state = s->state;
+    if (report.iteration <= 0 || report.iteration > state.iteration) {
+      return Status::InvalidArgument(
+          StringPrintf("report for iteration %d, but session is at %d",
+                       report.iteration, state.iteration));
+    }
+    const auto pending = state.outstanding.find(report.iteration);
+    if (pending == state.outstanding.end()) {
+      // The iteration was already processed — a duplicate from a client
+      // retry.
+      return Status::OK();
+    }
 
-  EventRecord event;
-  event.kind = EventKind::kComplete;
-  event.seq = static_cast<uint64_t>(report.iteration);
-  if (report.fault != FaultKind::kNone) {
-    // The replay failed; there are no metrics. The recommended θ (not
-    // whatever the client echoed back) is what failed, and it becomes
-    // constraint evidence for the advisor.
-    event.failed = true;
-    event.fault = report.fault;
-    EvaluationFault fault;
-    fault.kind = report.fault;
-    fault.message = "client-reported evaluation failure";
-    RESTUNE_RETURN_IF_ERROR(
-        session.advisor->ObserveFailure(pending->second, fault));
-  } else {
-    if (report.observation.theta.size() != session.knob_dim) {
-      return Status::InvalidArgument("report theta dimension mismatch");
+    EventRecord event;
+    event.kind = EventKind::kComplete;
+    event.seq = static_cast<uint64_t>(report.iteration);
+    if (report.fault != FaultKind::kNone) {
+      // The replay failed; there are no metrics. The recommended θ (not
+      // whatever the client echoed back) is what failed, and it becomes
+      // constraint evidence for the advisor.
+      event.failed = true;
+      event.fault = report.fault;
+      EvaluationFault fault;
+      fault.kind = report.fault;
+      fault.message = "client-reported evaluation failure";
+      RESTUNE_RETURN_IF_ERROR(
+          state.advisor->ObserveFailure(pending->second, fault));
+    } else {
+      if (report.observation.theta.size() != state.knob_dim) {
+        return Status::InvalidArgument("report theta dimension mismatch");
+      }
+      RESTUNE_RETURN_IF_ERROR(ValidateMetrics(report.observation));
+      RESTUNE_RETURN_IF_ERROR(state.advisor->Observe(report.observation));
+      event.observation = report.observation;
+      state.observations.push_back(report.observation);
+      if (state.sla.IsFeasible(report.observation) &&
+          report.observation.res < state.best_feasible_res) {
+        state.best_feasible_res = report.observation.res;
+        state.best_theta = report.observation.theta;
+        state.has_feasible = true;
+      }
     }
-    RESTUNE_RETURN_IF_ERROR(ValidateMetrics(report.observation));
-    RESTUNE_RETURN_IF_ERROR(session.advisor->Observe(report.observation));
-    event.observation = report.observation;
-    session.observations.push_back(report.observation);
-    if (session.sla.IsFeasible(report.observation) &&
-        report.observation.res < session.best_feasible_res) {
-      session.best_feasible_res = report.observation.res;
-      session.best_theta = report.observation.theta;
-      session.has_feasible = true;
-    }
-  }
-  if (session.safety != nullptr) {
-    // Two-tolerance rule: the strict verdict gates safe-config updates,
-    // the lenient one feeds the violation monitor (exploration on the
-    // constraint boundary routinely dips a few percent infeasible).
-    const bool feasible =
-        !event.failed &&
-        session.sla.IsFeasible(event.observation, options_.sla_tolerance);
-    const bool sla_ok =
-        !event.failed &&
-        session.sla.IsFeasible(event.observation,
+    if (state.safety != nullptr) {
+      // Two-tolerance rule: the strict verdict gates safe-config updates,
+      // the lenient one feeds the violation monitor (exploration on the
+      // constraint boundary routinely dips a few percent infeasible).
+      const bool feasible =
+          !event.failed &&
+          state.sla.IsFeasible(event.observation, options_.sla_tolerance);
+      const bool sla_ok =
+          !event.failed &&
+          state.sla.IsFeasible(event.observation,
                                options_.safety.monitor_tolerance);
-    event.mode_after = session.safety->OnCompletion(
-        pending->second, event.failed, feasible, sla_ok,
-        event.observation.res);
-    event.sla_violated_after = session.safety->sla_violated();
+      event.mode_after = state.safety->OnCompletion(
+          pending->second, event.failed, feasible, sla_ok,
+          event.observation.res);
+      event.sla_violated_after = state.safety->sla_violated();
+    }
+    state.log.push_back(std::move(event));
+    state.outstanding.erase(pending);
+    PublishRecord(s);
   }
-  session.log.push_back(std::move(event));
-  session.outstanding.erase(pending);
-  MaybeAutoCheckpoint();
+  if (CountMutations(1)) AutoCheckpoint();
   return Status::OK();
 }
 
 Result<SessionSummary> ResTuneServer::FinishSession(uint64_t session_id) {
-  MutexLock lock(&mu_);
-  const auto done = finished_.find(session_id);
-  if (done != finished_.end()) {
-    return done->second;  // idempotent finish
+  std::shared_ptr<Session> session;
+  {
+    MutexLock lock(&mu_);
+    const auto done = finished_.find(session_id);
+    if (done != finished_.end()) {
+      return done->second.summary;  // idempotent finish
+    }
+    const auto it = sessions_.find(session_id);
+    if (it == sessions_.end()) {
+      return Status::NotFound("unknown session");
+    }
+    session = it->second;
   }
-  const auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session");
+  Session* s = session.get();
+  {
+    // Wait out a call in flight on this session before taking `mu_`, so
+    // the server lock is not held across someone else's advisor call.
+    MutexLock drain(&s->mu);
   }
-  Session& session = it->second;
-  SessionSummary summary;
-  summary.session_id = session_id;
-  summary.iterations = session.iteration;
-  summary.best_theta = session.best_theta;
-  summary.best_feasible_res = session.best_feasible_res;
 
-  if (options_.archive_finished_sessions &&
-      session.observations.size() >= options_.min_observations_to_archive) {
-    TuningTask task;
-    task.name = session.task_name;
-    task.workload = session.task_name;
-    task.hardware = "client";
-    task.meta_feature = session.meta_feature;
-    task.observations = std::move(session.observations);
-    summary.archived_to_repository = repository_.AddTask(std::move(task)).ok();
+  SessionSummary summary;
+  {
+    MutexLock lock(&mu_);
+    MutexLock session_lock(&s->mu);
+    if (s->closed) {
+      // A racing FinishSession won; answer with its summary.
+      const auto done = finished_.find(session_id);
+      if (done == finished_.end()) return FinishedError(session_id);
+      return done->second.summary;
+    }
+    s->closed = true;
+    SessionState& state = s->state;
+    summary.session_id = session_id;
+    summary.iterations = state.iteration;
+    summary.best_theta = state.best_theta;
+    summary.best_feasible_res = state.best_feasible_res;
+
+    if (options_.archive_finished_sessions &&
+        state.observations.size() >= options_.min_observations_to_archive) {
+      TuningTask task;
+      task.name = state.task_name;
+      task.workload = state.task_name;
+      task.hardware = "client";
+      task.meta_feature = state.meta_feature;
+      task.observations = std::move(state.observations);
+      summary.archived_to_repository =
+          repository_.AddTask(std::move(task)).ok();
+    }
+    sessions_.erase(session_id);
+    FinishedSession finished;
+    finished.summary = summary;
+    finished.text = FormatText([&](std::ostream* out) {
+      WriteSummary(out, session_id, summary);
+    });
+    finished_.emplace(session_id, std::move(finished));
   }
-  sessions_.erase(it);
-  finished_.emplace(session_id, summary);
-  MaybeAutoCheckpoint();
+  if (CountMutations(1)) AutoCheckpoint();
   return summary;
 }
 
-void ResTuneServer::MaybeAutoCheckpoint() {
-  ++mutations_;
-  if (options_.checkpoint_path.empty() || options_.checkpoint_period <= 0) {
-    return;
-  }
-  if (mutations_ % static_cast<uint64_t>(options_.checkpoint_period) != 0) {
-    return;
-  }
-  // The lock is already held here; re-entering the public
-  // SaveCheckpointFile would self-deadlock on the non-reentrant mutex —
-  // exactly the bug class the REQUIRES annotations turn into a compile
-  // error under clang -Wthread-safety.
-  const Status st = SaveCheckpointFileLocked(options_.checkpoint_path);
-  if (!st.ok()) {
-    RESTUNE_LOG(kWarning) << "server auto-checkpoint failed: "
-                          << st.ToString();
-  }
-}
-
 Status ResTuneServer::SaveCheckpoint(std::ostream* out) const {
-  MutexLock lock(&mu_);
-  return SaveCheckpointLocked(out);
+  MutexLock write_lock(&ckpt_mu_);
+  return WriteSnapshot(out);
 }
 
-Status ResTuneServer::SaveCheckpointLocked(std::ostream* out) const {
+Status ResTuneServer::WriteSnapshot(std::ostream* out) const {
+  // Copy what `mu_` guards in one short critical section: the snapshot is
+  // the server as of that moment, plus whatever the listed sessions
+  // publish before their records are read below. Sessions never touch
+  // `mu_`-guarded state, so that combination is a state a serial server
+  // could have reached.
+  uint64_t next_id = 0;
+  size_t num_tasks = 0;
+  size_t num_finished = 0;
+  std::string finished_text;
+  std::vector<std::pair<uint64_t, std::shared_ptr<Session>>> sessions;
+  while (true) {
+    MutexLock lock(&mu_);
+    const std::vector<TuningTask>& tasks = repository_.tasks();
+    if (repository_text_.size() < tasks.size()) {
+      // Cache one task per lock hold: formatting a task takes about a
+      // millisecond, and copying tasks out first would cost their memory.
+      const TuningTask& task = tasks[repository_text_.size()];
+      repository_text_.push_back(FormatText(
+          [&task](std::ostream* task_out) { WriteTask(task_out, task); }));
+      continue;
+    }
+    next_id = next_session_id_;
+    num_tasks = tasks.size();
+    num_finished = finished_.size();
+    for (const auto& [id, finished] : finished_) {
+      finished_text += finished.text;
+    }
+    sessions.assign(sessions_.begin(), sessions_.end());
+    break;
+  }
+
   out->precision(17);  // exact double round-trip
   *out << kMagic << ' ' << kVersion << '\n';
-  *out << "next_id " << next_session_id_ << '\n';
-
-  *out << "tasks " << repository_.num_tasks() << '\n';
-  for (const TuningTask& task : repository_.tasks()) {
-    *out << "task\n";
-    WriteString(out, task.name);
-    WriteString(out, task.hardware);
-    WriteString(out, task.workload);
-    *out << "meta ";
-    WriteVector(out, task.meta_feature);
-    *out << "obs " << task.observations.size() << '\n';
-    for (const Observation& obs : task.observations) {
-      WriteObservation(out, obs);
+  *out << "next_id " << next_id << '\n';
+  *out << "tasks " << num_tasks << '\n';
+  for (size_t i = 0; i < num_tasks; ++i) *out << repository_text_[i];
+  *out << "finished " << num_finished << '\n' << finished_text;
+  *out << "sessions " << sessions.size() << '\n';
+  std::string text;
+  for (const auto& [id, session] : sessions) {
+    Session* s = session.get();
+    text.clear();
+    {
+      MutexLock lock(&s->record_mu);
+      text += "session " + std::to_string(id) + ' ' +
+              std::to_string(s->record.knob_dim) + ' ' +
+              std::to_string(s->record.iteration) + ' ' +
+              std::to_string(s->record.repository_snapshot) + ' ' +
+              (s->record.has_feasible ? "1" : "0") + '\n';
+      text += s->record.body;
+      text += "log " + std::to_string(s->record.num_events) + '\n';
+      text += s->record.log_text;
     }
-  }
-
-  *out << "finished " << finished_.size() << '\n';
-  for (const auto& [id, summary] : finished_) {
-    *out << "summary " << id << ' ' << summary.iterations << ' '
-         << summary.best_feasible_res << ' '
-         << (summary.archived_to_repository ? 1 : 0) << '\n';
-    WriteVector(out, summary.best_theta);
-  }
-
-  *out << "sessions " << sessions_.size() << '\n';
-  for (const auto& [id, session] : sessions_) {
-    *out << "session " << id << ' ' << session.knob_dim << ' '
-         << session.iteration << ' ' << session.repository_snapshot << ' '
-         << (session.has_feasible ? 1 : 0) << '\n';
-    WriteString(out, session.task_name);
-    *out << "meta ";
-    WriteVector(out, session.meta_feature);
-    *out << "sla " << session.sla.min_tps << ' ' << session.sla.max_lat
-         << '\n';
-    *out << "default_theta ";
-    WriteVector(out, session.default_theta);
-    *out << "default_obs\n";
-    WriteObservation(out, session.default_observation);
-    // The log IS the durable session: outstanding recommendations are the
-    // launches without a matching completion and are re-derived at load.
-    *out << "log " << session.log.size() << '\n';
-    for (const EventRecord& event : session.log) {
-      WriteEventRecord(out, event);
-    }
+    out->write(text.data(), static_cast<std::streamsize>(text.size()));
   }
   *out << "end\n";
   if (!out->good()) return Status::IoError("server checkpoint write failed");
   return Status::OK();
 }
 
-Result<ResTuneServer::Session> ResTuneServer::RebuildSession(
-    Session blueprint) const {
-  Session session = std::move(blueprint);
+Result<ResTuneServer::SessionState> ResTuneServer::RebuildSession(
+    SessionState blueprint, std::vector<BaseLearner> learners) const {
+  SessionState session = std::move(blueprint);
   session.advisor = std::make_unique<ResTuneAdvisor>(
-      session.knob_dim, session.default_theta,
-      TrainSessionLearners(session.knob_dim, session.repository_snapshot),
+      session.knob_dim, session.default_theta, std::move(learners),
       session.meta_feature, options_.advisor);
   RESTUNE_RETURN_IF_ERROR(
       session.advisor->Begin(session.default_observation, session.sla));
@@ -602,7 +766,6 @@ Result<ResTuneServer::Session> ResTuneServer::RebuildSession(
 }
 
 Status ResTuneServer::LoadCheckpoint(std::istream* in) {
-  MutexLock lock(&mu_);
   std::string magic;
   int version = 0;
   if (!(*in >> magic >> version) || magic != kMagic) {
@@ -644,7 +807,7 @@ Status ResTuneServer::LoadCheckpoint(std::istream* in) {
     RESTUNE_RETURN_IF_ERROR(repository.AddTask(std::move(task)));
   }
 
-  std::map<uint64_t, SessionSummary> finished;
+  std::map<uint64_t, FinishedSession> finished;
   RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "finished"));
   size_t num_finished = 0;
   if (!(*in >> num_finished) || num_finished > (1u << 24)) {
@@ -660,32 +823,62 @@ Status ResTuneServer::LoadCheckpoint(std::istream* in) {
     }
     summary.archived_to_repository = archived != 0;
     RESTUNE_RETURN_IF_ERROR(ReadVector(in, &summary.best_theta));
-    finished.emplace(summary.session_id, summary);
+    FinishedSession entry;
+    entry.text = FormatText([&summary](std::ostream* out) {
+      WriteSummary(out, summary.session_id, summary);
+    });
+    entry.summary = std::move(summary);
+    finished.emplace(entry.summary.session_id, std::move(entry));
   }
 
-  // Sessions need the restored repository for base-learner training, so
-  // swap it in before replay; all other members are only replaced once the
-  // whole checkpoint parses.
-  DataRepository previous_repository = std::move(repository_);
+  std::vector<std::pair<uint64_t, SessionState>> blueprints;
+  RESTUNE_RETURN_IF_ERROR(ParseSessions(in, &blueprints));
+
+  // Base-learners come from the restored repository, trained serially so
+  // the shared cache fills in a fixed order. Each session's replay then
+  // touches only its own blueprint, so the replays run concurrently.
+  const size_t n = blueprints.size();
+  std::vector<std::vector<BaseLearner>> learners(n);
+  for (size_t i = 0; i < n; ++i) {
+    const SessionState& blueprint = blueprints[i].second;
+    learners[i] = TrainSessionLearners(repository, blueprint.knob_dim,
+                                       blueprint.repository_snapshot);
+  }
+  std::vector<std::shared_ptr<Session>> rebuilt(n);
+  std::vector<Status> statuses(n, Status::OK());
+  ThreadPool::Shared()->ParallelFor(n, [&](size_t i) {
+    Result<SessionState> state = RebuildSession(
+        std::move(blueprints[i].second), std::move(learners[i]));
+    if (!state.ok()) {
+      statuses[i] = state.status();
+      return;
+    }
+    auto session = std::make_shared<Session>(std::move(state).value());
+    Session* s = session.get();
+    {
+      MutexLock lock(&s->mu);
+      PublishRecord(s);
+    }
+    rebuilt[i] = std::move(session);
+  });
+  std::map<uint64_t, std::shared_ptr<Session>> sessions;
+  for (size_t i = 0; i < n; ++i) {
+    RESTUNE_RETURN_IF_ERROR(statuses[i]);  // the server stays as it was
+    sessions.emplace(blueprints[i].first, std::move(rebuilt[i]));
+  }
+
+  MutexLock write_lock(&ckpt_mu_);
+  MutexLock lock(&mu_);
   repository_ = std::move(repository);
-
-  std::map<uint64_t, Session> sessions;
-  const Status status = RestoreSessions(in, &sessions);
-  if (!status.ok()) {
-    repository_ = std::move(previous_repository);  // leave the server as-was
-    return status;
-  }
   sessions_ = std::move(sessions);
   finished_ = std::move(finished);
   next_session_id_ = next_id;
+  repository_text_.clear();
   return Status::OK();
 }
 
-Status ResTuneServer::RestoreSessions(std::istream* in,
-                                      std::map<uint64_t, Session>* sessions) {
-  // A member rather than a lambda inside LoadCheckpoint: the thread-safety
-  // analysis treats a lambda body as a separate function, so the caller's
-  // lock would be invisible and every RebuildSession call would warn.
+Status ResTuneServer::ParseSessions(
+    std::istream* in, std::vector<std::pair<uint64_t, SessionState>>* out) {
   RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "sessions"));
   size_t num_sessions = 0;
   if (!(*in >> num_sessions) || num_sessions > (1u << 20)) {
@@ -693,7 +886,7 @@ Status ResTuneServer::RestoreSessions(std::istream* in,
   }
   for (size_t i = 0; i < num_sessions; ++i) {
     RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "session"));
-    Session blueprint;
+    SessionState blueprint;
     uint64_t id = 0;
     int has_feasible = 0;
     if (!(*in >> id >> blueprint.knob_dim >> blueprint.iteration >>
@@ -724,43 +917,43 @@ Status ResTuneServer::RestoreSessions(std::istream* in,
       RESTUNE_RETURN_IF_ERROR(ReadEventRecord(in, &event));
       blueprint.log.push_back(std::move(event));
     }
-    RESTUNE_ASSIGN_OR_RETURN(Session session,
-                             RebuildSession(std::move(blueprint)));
-    sessions->emplace(id, std::move(session));
+    out->emplace_back(id, std::move(blueprint));
   }
   return ExpectTag(in, "end");
 }
 
 Status ResTuneServer::SaveCheckpointFile(const std::string& path) const {
-  MutexLock lock(&mu_);
-  return SaveCheckpointFileLocked(path);
-}
-
-Status ResTuneServer::SaveCheckpointFileLocked(const std::string& path) const {
+  MutexLock write_lock(&ckpt_mu_);
+  const auto start = std::chrono::steady_clock::now();
   const std::string tmp = path + ".tmp";
-  Status write_status = Status::OK();
+  Status status = Status::OK();
   {
     std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::NotFound("cannot open '" + tmp + "' for write");
-    write_status = SaveCheckpointLocked(&out);
-    if (write_status.ok()) {
-      out.flush();
-      if (!out.good()) {
-        write_status = Status::IoError("write to '" + tmp + "' failed");
+    if (!out) {
+      status = Status::NotFound("cannot open '" + tmp + "' for write");
+    } else {
+      status = WriteSnapshot(&out);
+      if (status.ok()) {
+        out.flush();
+        if (!out.good()) {
+          status = Status::IoError("write to '" + tmp + "' failed");
+        }
       }
     }
   }
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
+  }
   // Never leave a half-written temp file behind on failure; a stale .tmp
   // from a crashed save must not shadow or outlive the real checkpoint.
-  if (!write_status.ok()) {
-    std::remove(tmp.c_str());
-    return write_status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  return Status::OK();
+  if (!status.ok()) std::remove(tmp.c_str());
+
+  CheckpointMetrics* metrics = CheckpointMetrics::Get();
+  metrics->seconds->Observe(std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+  if (!status.ok()) metrics->failures->Add();
+  return status;
 }
 
 Status ResTuneServer::LoadCheckpointFile(const std::string& path) {

@@ -1,11 +1,14 @@
 #ifndef RESTUNE_SERVICE_RESTUNE_SERVER_H_
 #define RESTUNE_SERVICE_RESTUNE_SERVER_H_
 
+#include <atomic>
 #include <istream>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
@@ -29,9 +32,12 @@ struct ServerOptions {
   /// two-iteration session teaches nothing).
   size_t min_observations_to_archive = 10;
   /// Path of the server checkpoint file; empty disables auto-checkpointing.
-  /// With a path set, the server snapshots itself every
-  /// `checkpoint_period` state-changing calls (session start, evaluation
-  /// report, session finish) via the atomic `SaveCheckpointFile`.
+  /// With a path set, the server snapshots itself via the atomic
+  /// `SaveCheckpointFile` every `checkpoint_period` state changes, counted
+  /// across all sessions (session start, recommendation issue, evaluation
+  /// report, session finish). The call whose state change completes a
+  /// period returns only after its snapshot is written, so an acknowledged
+  /// call is durable once the checkpoint that covers it lands.
   std::string checkpoint_path;
   int checkpoint_period = 10;
   /// Drive sessions through the EventTuningSession degraded-mode ladder
@@ -84,10 +90,24 @@ struct ServerOptions {
 ///
 /// Thread safety: every public method may be called from any thread — a
 /// transport layer can dispatch concurrent client requests straight into
-/// the server. One mutex serializes all server state (repository, session
-/// map, finished summaries, id/mutation counters); sessions are coarse
-/// critical sections by design, since an advisor suggestion is the work
-/// and splitting the lock would only add ordering bugs, not parallelism.
+/// the server. Each session owns its advisor, so calls on different
+/// sessions run in parallel: the server lock `mu_` guards only the session
+/// map, the repository, the finished summaries and the id counter, and is
+/// held just long enough to look a session up. A session's tuning state
+/// sits behind the session's own lock, which serializes that session's
+/// calls. Lock order: `ckpt_mu_` → `mu_` → session lock → record lock;
+/// no path acquires against it.
+///
+/// Checkpoints never stop the world. At the end of every mutation a
+/// session appends the checkpoint text of its new event records to a
+/// published record under its small record lock, and the repository's text
+/// is cached per task. A snapshot copies the session list under `mu_`,
+/// then concatenates the published records — it never waits on an advisor
+/// call in flight — and writes `<path>.tmp` + rename outside every server
+/// and session lock. The writer lock `ckpt_mu_` orders snapshots, so an
+/// older one never overwrites a newer one. The output is the same v2 text
+/// a serial server writes.
+///
 /// The locking discipline is compiler-checked (clang -Wthread-safety) via
 /// the GUARDED_BY/REQUIRES annotations below.
 class ResTuneServer {
@@ -107,12 +127,13 @@ class ResTuneServer {
   /// (zero knob dimension, mismatched vector sizes, non-finite values,
   /// non-positive default throughput/latency).
   Result<uint64_t> StartSession(const TargetTaskSubmission& submission)
-      EXCLUDES(mu_);
+      EXCLUDES(mu_, ckpt_mu_);
 
   /// Next configuration for the session to evaluate. While recommendations
   /// are outstanding the oldest one is returned again (at-least-once
   /// delivery for clients that retry); otherwise a new one is issued.
-  Result<KnobRecommendation> Recommend(uint64_t session_id) EXCLUDES(mu_);
+  Result<KnobRecommendation> Recommend(uint64_t session_id)
+      EXCLUDES(mu_, ckpt_mu_);
 
   /// Speculative batch: tops the session's outstanding set up to `width`
   /// recommendations and returns all of them, oldest first. New
@@ -122,19 +143,21 @@ class ResTuneServer {
   /// `Recommend`.
   Result<std::vector<KnobRecommendation>> RecommendBatch(uint64_t session_id,
                                                          int width)
-      EXCLUDES(mu_);
+      EXCLUDES(mu_, ckpt_mu_);
 
   /// Feeds an evaluation result back into the session's meta-learner.
   /// Reports for outstanding iterations are accepted in ANY order; reports
   /// for already-processed iterations are accepted as duplicates (no-op);
   /// reports from the future, with malformed metrics, or with a mismatched
   /// θ dimension are rejected.
-  Status ReportEvaluation(const EvaluationReport& report) EXCLUDES(mu_);
+  Status ReportEvaluation(const EvaluationReport& report)
+      EXCLUDES(mu_, ckpt_mu_);
 
   /// Closes the session; optionally archives its observations as a new
   /// historical task in the repository. Idempotent: finishing an already-
   /// finished session returns its cached summary.
-  Result<SessionSummary> FinishSession(uint64_t session_id) EXCLUDES(mu_);
+  Result<SessionSummary> FinishSession(uint64_t session_id)
+      EXCLUDES(mu_, ckpt_mu_);
 
   size_t active_sessions() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -149,13 +172,18 @@ class ResTuneServer {
   /// event logs, finished summaries). Advisor internals are not written;
   /// `LoadCheckpoint` rebuilds each advisor by replaying its event log with
   /// bitwise verification against the recorded recommendations.
-  Status SaveCheckpoint(std::ostream* out) const EXCLUDES(mu_);
-  Status LoadCheckpoint(std::istream* in) EXCLUDES(mu_);
+  Status SaveCheckpoint(std::ostream* out) const EXCLUDES(mu_, ckpt_mu_);
+  /// Restores a checkpoint; sessions replay concurrently on the shared
+  /// pool. On error the server is left as it was.
+  Status LoadCheckpoint(std::istream* in) EXCLUDES(mu_, ckpt_mu_);
 
   /// File variants; saving goes through `<path>.tmp` + rename, so a crash
-  /// mid-write never leaves a torn checkpoint.
-  Status SaveCheckpointFile(const std::string& path) const EXCLUDES(mu_);
-  Status LoadCheckpointFile(const std::string& path) EXCLUDES(mu_);
+  /// mid-write never leaves a torn checkpoint. Every save is timed into
+  /// `restune_server_checkpoint_seconds`; a failed one also increments
+  /// `restune_server_checkpoint_failures_total`.
+  Status SaveCheckpointFile(const std::string& path) const
+      EXCLUDES(mu_, ckpt_mu_);
+  Status LoadCheckpointFile(const std::string& path) EXCLUDES(mu_, ckpt_mu_);
 
   /// Prometheus text exposition of the process-wide metrics registry, with
   /// server-level gauges (active/finished sessions, repository size)
@@ -164,7 +192,10 @@ class ResTuneServer {
   std::string MetricsText() const EXCLUDES(mu_);
 
  private:
-  struct Session {
+  /// Tuning state of one session. Inside a `Session` it is guarded by the
+  /// session lock; a free-standing one (being built by StartSession or a
+  /// checkpoint restore) belongs to the thread building it.
+  struct SessionState {
     std::string task_name;
     Vector meta_feature;
     std::unique_ptr<ResTuneAdvisor> advisor;
@@ -194,39 +225,88 @@ class ResTuneServer {
     std::unique_ptr<SafetyController> safety;
   };
 
-  std::vector<BaseLearner> TrainSessionLearners(size_t knob_dim,
-                                                size_t repository_snapshot)
-      const REQUIRES(mu_);
-  Result<Session> RebuildSession(Session blueprint) const REQUIRES(mu_);
+  /// A session's checkpoint text as of its last completed mutation.
+  struct SessionRecord {
+    size_t knob_dim = 0;
+    int iteration = 0;
+    size_t repository_snapshot = 0;
+    bool has_feasible = false;
+    /// Name, meta-feature, SLA and default: fixed for the session's life.
+    std::string body;
+    /// `WriteEventRecord` text of the first `num_events` log records.
+    std::string log_text;
+    size_t num_events = 0;
+  };
+
+  struct Session {
+    /// Takes over `initial` and formats the record's fixed part.
+    explicit Session(SessionState initial);
+
+    Mutex mu;
+    SessionState state GUARDED_BY(mu);
+    /// Set by FinishSession under both `mu_` and `mu`; a call that looked
+    /// the session up before the finish sees it and fails typed.
+    bool closed GUARDED_BY(mu) = false;
+
+    /// Taken after `mu` by the publisher and alone by snapshots, so a
+    /// snapshot waits at most for one record append.
+    Mutex record_mu;
+    SessionRecord record GUARDED_BY(record_mu);
+  };
+
+  struct FinishedSession {
+    SessionSummary summary;
+    /// The summary's checkpoint text.
+    std::string text;
+  };
+
+  static std::vector<BaseLearner> TrainSessionLearners(
+      const DataRepository& repository, size_t knob_dim,
+      size_t repository_snapshot);
+  /// Replays a restored session's event log through a fresh advisor built
+  /// on `learners`. Touches only the blueprint, so restores of different
+  /// sessions run concurrently.
+  Result<SessionState> RebuildSession(SessionState blueprint,
+                                      std::vector<BaseLearner> learners) const;
+  /// Looks up a session that can still take traffic: kFailedPrecondition
+  /// once finished, kNotFound if it never existed.
+  Result<std::shared_ptr<Session>> FindActiveSession(uint64_t session_id)
+      const EXCLUDES(mu_);
   /// Issues one new recommendation for the session (advances the advisor,
   /// appends a launch record, registers the outstanding entry).
   Result<KnobRecommendation> IssueRecommendation(uint64_t session_id,
                                                  Session* session)
-      REQUIRES(mu_);
-  void MaybeAutoCheckpoint() REQUIRES(mu_);
-  /// Lock-held cores of the checkpoint writers. MaybeAutoCheckpoint runs
-  /// under mu_ and must not re-enter the public SaveCheckpointFile (that
-  /// would self-deadlock on the non-reentrant mutex), so the public
-  /// entry points lock and delegate here.
-  Status SaveCheckpointLocked(std::ostream* out) const REQUIRES(mu_);
-  Status SaveCheckpointFileLocked(const std::string& path) const
-      REQUIRES(mu_);
-  /// Parses and replays the sessions section of a checkpoint into
-  /// `sessions`. A member (not a lambda inside LoadCheckpoint) because the
-  /// thread-safety analysis treats lambda bodies as separate functions and
-  /// would not see the caller's lock across the capture boundary.
-  Status RestoreSessions(std::istream* in,
-                         std::map<uint64_t, Session>* sessions)
-      REQUIRES(mu_);
+      REQUIRES(session->mu);
+  /// Appends the log records added since the last publication to the
+  /// session's published record. Called at the end of every mutation.
+  static void PublishRecord(Session* session) REQUIRES(session->mu);
+  /// Counts `n` state changes; true when they complete a checkpoint period.
+  bool CountMutations(uint64_t n);
+  /// Writes the auto-checkpoint; a failure is logged, not returned.
+  void AutoCheckpoint() const EXCLUDES(mu_, ckpt_mu_);
+  /// Assembles the v2 checkpoint text from the cached and published pieces.
+  Status WriteSnapshot(std::ostream* out) const REQUIRES(ckpt_mu_)
+      EXCLUDES(mu_);
+  /// Parses the sessions section of a checkpoint into blueprints.
+  static Status ParseSessions(
+      std::istream* in, std::vector<std::pair<uint64_t, SessionState>>* out);
 
   const ServerOptions options_;  // immutable after construction
-  /// One coarse lock serializes the whole server; see the class comment.
+  /// Guards the session map, the repository, the finished summaries and
+  /// the id counter; see the class comment for the lock order.
   mutable Mutex mu_;
   DataRepository repository_ GUARDED_BY(mu_);
-  std::map<uint64_t, Session> sessions_ GUARDED_BY(mu_);
-  std::map<uint64_t, SessionSummary> finished_ GUARDED_BY(mu_);
+  std::map<uint64_t, std::shared_ptr<Session>> sessions_ GUARDED_BY(mu_);
+  std::map<uint64_t, FinishedSession> finished_ GUARDED_BY(mu_);
   uint64_t next_session_id_ GUARDED_BY(mu_) = 1;
-  uint64_t mutations_ GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> mutations_{0};
+
+  /// Writer lock: serializes checkpoint writes and LoadCheckpoint.
+  mutable Mutex ckpt_mu_;
+  /// Checkpoint text of the first `repository_text_.size()` repository
+  /// tasks, one string per task. The repository only grows between loads,
+  /// so the cache only appends.
+  mutable std::vector<std::string> repository_text_ GUARDED_BY(ckpt_mu_);
 };
 
 }  // namespace restune

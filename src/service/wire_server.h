@@ -13,10 +13,11 @@
 /// whose frame handler decodes service/wire.h messages, calls the
 /// in-process ResTuneServer, and encodes the response (or a typed
 /// kErrorResponse). The loop runs on a dedicated host thread; handler
-/// dispatch fans out over the loop's session shards, and ResTuneServer's
-/// own mutex serializes what must be serialized — so every server-side
-/// invariant (idempotent Recommend/ReportEvaluation/FinishSession,
-/// byte-identical checkpoints) holds unchanged over the wire.
+/// dispatch fans out over the loop's connection shards, and ResTuneServer's
+/// per-session locks serialize each tuning session's calls while different
+/// sessions proceed in parallel — so every server-side invariant
+/// (idempotent Recommend/ReportEvaluation/FinishSession, byte-identical
+/// checkpoints) holds unchanged over the wire.
 ///
 /// Lifecycle: Start() binds + spawns the loop thread; Stop() (idempotent,
 /// also run by the destructor) requests loop exit and joins. Start/Stop

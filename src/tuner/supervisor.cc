@@ -58,6 +58,14 @@ bool EvaluationSupervisor::IsCorrupted(const Observation& observation) {
          observation.res < 0.0;
 }
 
+FaultKind EvaluationSupervisor::ClassifyOutcome(
+    const Result<EvaluationOutcome>& outcome) {
+  if (!outcome.ok()) return FaultKind::kCrash;
+  if (!outcome->ok()) return outcome->fault().kind;
+  if (IsCorrupted(outcome->observation())) return FaultKind::kCorruptedMetrics;
+  return FaultKind::kNone;
+}
+
 double EvaluationSupervisor::NextBackoff(double* previous) {
   double sleep;
   if (policy_.decorrelated_jitter) {

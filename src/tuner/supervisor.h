@@ -74,6 +74,14 @@ class EvaluationSupervisor {
   /// collapsed to zero (a replay that measured nothing).
   static bool IsCorrupted(const Observation& observation);
 
+  /// How a client reports one unsupervised replay (`TryEvaluate`) to the
+  /// tuning server: kNone when the observation is usable as metrics, the
+  /// fault's kind when the replay failed, kCorruptedMetrics when it
+  /// "succeeded" with metrics `IsCorrupted` rejects, and kCrash when the
+  /// replay could not run at all. Forwarding the raw outcome instead gets
+  /// corrupted metrics rejected by the server as kInvalidArgument.
+  static FaultKind ClassifyOutcome(const Result<EvaluationOutcome>& outcome);
+
   const RetryPolicy& policy() const { return policy_; }
   RngState rng_state() const { return rng_.state(); }
   void set_rng_state(const RngState& state) { rng_.set_state(state); }

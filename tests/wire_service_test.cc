@@ -17,6 +17,7 @@
 #include "service/wire.h"
 #include "service/wire_server.h"
 #include "tuner/harness.h"
+#include "tuner/supervisor.h"
 
 namespace restune {
 namespace {
@@ -198,6 +199,46 @@ TEST_F(WireServiceTest, TypedErrorsTravelTheWire) {
   EXPECT_EQ(client->StartSession(bad).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(client->StartSession(MakeSubmission("wire-good")).ok());
+}
+
+TEST_F(WireServiceTest, ClassifiedCorruptedReplayIsAcceptedOverTheWire) {
+  ResTuneServer server(FastServerOptions());
+  WireServer wire(&server);
+  ASSERT_TRUE(wire.Start().ok());
+  auto client = TuningClient::Connect("127.0.0.1", wire.port());
+  ASSERT_TRUE(client.ok());
+  const auto session = client->StartSession(MakeSubmission("wire-corrupt"));
+  ASSERT_TRUE(session.ok());
+  const auto rec = client->Recommend(*session);
+  ASSERT_TRUE(rec.ok());
+
+  // A replay that "succeeded" but measured nothing.
+  EvaluationReport raw = FeasibleReport(*rec, 9.0);
+  raw.observation.tps = 0.0;
+  const Result<EvaluationOutcome> outcome = EvaluationOutcome(raw.observation);
+
+  // Forwarded as metrics, the server rejects it.
+  EXPECT_EQ(client->ReportEvaluation(raw).code(),
+            StatusCode::kInvalidArgument);
+
+  // Classified the way a correct client does, it is failure evidence.
+  EvaluationReport report;
+  report.session_id = *session;
+  report.iteration = rec->iteration;
+  report.fault = EvaluationSupervisor::ClassifyOutcome(outcome);
+  EXPECT_EQ(report.fault, FaultKind::kCorruptedMetrics);
+  ASSERT_TRUE(client->ReportEvaluation(report).ok());
+  const auto next = client->Recommend(*session);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->iteration, rec->iteration + 1);
+
+  // A replay that could not run at all is a crash; usable metrics are data.
+  EXPECT_EQ(EvaluationSupervisor::ClassifyOutcome(
+                Status::IoError("replay tool died")),
+            FaultKind::kCrash);
+  EXPECT_EQ(EvaluationSupervisor::ClassifyOutcome(
+                EvaluationOutcome(FeasibleReport(*next, 9.0).observation)),
+            FaultKind::kNone);
 }
 
 TEST_F(WireServiceTest, KillAndRestartResumesMidSessionFromCheckpoint) {
