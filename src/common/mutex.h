@@ -33,6 +33,10 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mu_.lock(); }
   void unlock() RELEASE() { mu_.unlock(); }
+  /// Tells the analysis the calling thread holds this mutex, where it
+  /// cannot see so itself (a callback run under the caller's lock). Checks
+  /// nothing at run time.
+  void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
  private:
   friend class CondVar;

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -17,14 +16,6 @@ namespace {
 bool AllFinite(const Vector& v) {
   for (double x : v) {
     if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
-
-bool BitwiseEqual(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
   }
   return true;
 }
@@ -66,19 +57,6 @@ Status ReadString(std::istream* in, std::string* s) {
   s->resize(n);
   if (n > 0 && !in->read(s->data(), static_cast<std::streamsize>(n))) {
     return Status::IoError("truncated string in server checkpoint");
-  }
-  return Status::OK();
-}
-
-Status ExpectTag(std::istream* in, const std::string& want) {
-  std::string tag;
-  if (!(*in >> tag)) {
-    return Status::IoError("server checkpoint truncated: expected '" + want +
-                           "'");
-  }
-  if (tag != want) {
-    return Status::IoError("server checkpoint corrupt: expected '" + want +
-                           "', found '" + tag + "'");
   }
   return Status::OK();
 }
@@ -217,13 +195,14 @@ ResTuneServer::Session::Session(SessionState initial)
 void ResTuneServer::PublishRecord(Session* session) {
   MutexLock lock(&session->record_mu);
   SessionRecord& record = session->record;
-  record.iteration = session->state.iteration;
+  const SessionCore& core = session->state.core;
+  record.iteration = static_cast<int>(core.launches());
   record.has_feasible = session->state.has_feasible;
   // The log IS the durable session: outstanding recommendations are the
   // launches without a matching completion and are re-derived at load.
-  if (record.num_events < session->state.log.size()) {
-    record.log_text += EventRecordsText(session->state.log, record.num_events);
-    record.num_events = session->state.log.size();
+  if (record.num_events < core.log().size()) {
+    record.log_text += EventRecordsText(core.log(), record.num_events);
+    record.num_events = core.log().size();
   }
 }
 
@@ -294,10 +273,11 @@ Result<uint64_t> ResTuneServer::StartSession(
   state.best_theta = submission.default_theta;
   state.best_feasible_res = submission.default_observation.res;
   state.has_feasible = true;
+  state.core = SessionCore(state.advisor.get(), /*first_seq=*/1);
   if (options_.use_event_sessions) {
-    state.safety = std::make_unique<SafetyController>(options_.safety);
-    state.safety->SetBaseline(submission.default_theta,
-                              submission.default_observation.res);
+    state.core.EnableLadder(options_.safety, state.sla, options_.sla_tolerance,
+                            submission.default_theta,
+                            submission.default_observation.res);
   }
 
   auto session = std::make_shared<Session>(std::move(state));
@@ -326,10 +306,12 @@ Result<KnobRecommendation> ResTuneServer::Recommend(uint64_t session_id) {
     // re-asking returns the oldest instead of advancing the advisor — a
     // client retry after a lost response must not burn iterations or fork
     // the GP state.
-    if (!s->state.outstanding.empty()) {
-      const auto& [iteration, theta] = *s->state.outstanding.begin();
+    const std::map<uint64_t, Vector>& outstanding =
+        s->state.core.outstanding();
+    if (!outstanding.empty()) {
+      const auto& [iteration, theta] = *outstanding.begin();
       rec.session_id = session_id;
-      rec.iteration = iteration;
+      rec.iteration = static_cast<int>(iteration);
       rec.theta = theta;
       return rec;
     }
@@ -342,66 +324,12 @@ Result<KnobRecommendation> ResTuneServer::Recommend(uint64_t session_id) {
 
 Result<KnobRecommendation> ResTuneServer::IssueRecommendation(
     uint64_t session_id, Session* session) {
-  SessionState& state = session->state;
-  // Constant-liar batching: suggestions are penalized near every θ still
-  // awaiting its report, so a speculative batch diversifies instead of
-  // re-proposing the same optimum `width` times.
-  std::vector<Vector> pending;
-  pending.reserve(state.outstanding.size());
-  for (const auto& [iteration, theta] : state.outstanding) {
-    pending.push_back(theta);
-  }
-
-  EventRecord launch;
-  launch.kind = EventKind::kLaunch;
-  Vector theta;
-  if (state.safety != nullptr) {
-    // Event-session driver (tuner/event_session.cc semantics): frozen
-    // sessions pin the last known-safe config — deliberately WITHOUT an
-    // advisor call, so checkpoint replay does not consume advisor RNG for
-    // the probe — and constrained sessions clamp suggestions into the
-    // trust region around it.
-    SessionMode mode = state.safety->mode();
-    bool frozen = mode == SessionMode::kFrozen;
-    if (frozen) {
-      theta = state.safety->safe_theta();
-    } else {
-      if (mode == SessionMode::kConstrained) {
-        state.advisor->SetTrustRegion(state.safety->safe_theta(),
-                                      state.safety->trust_radius());
-      } else {
-        state.advisor->ClearTrustRegion();
-      }
-      Result<Vector> suggestion = state.advisor->SuggestNextAsync(pending);
-      if (!suggestion.ok()) {
-        if (suggestion.status().code() == StatusCode::kOutOfRange) {
-          return suggestion.status();  // advisor exhausted: a real error
-        }
-        // Surrogate failure: drop to frozen and serve the safe config —
-        // an always-on service keeps answering with something safe.
-        mode = state.safety->OnAdvisorFailure();
-        frozen = true;
-        theta = state.safety->safe_theta();
-      } else {
-        theta = std::move(suggestion).value();
-      }
-    }
-    launch.frozen = frozen;
-    launch.mode = mode;
-    launch.sla_violated = state.safety->sla_violated();
-  } else {
-    RESTUNE_ASSIGN_OR_RETURN(theta, state.advisor->SuggestNextAsync(pending));
-  }
-
+  RESTUNE_ASSIGN_OR_RETURN(const EventRecord* launch,
+                           session->state.core.Launch());
   KnobRecommendation rec;
   rec.session_id = session_id;
-  rec.iteration = ++state.iteration;
-  rec.theta = theta;
-
-  launch.seq = static_cast<uint64_t>(rec.iteration);
-  launch.theta = theta;
-  state.log.push_back(launch);
-  state.outstanding.emplace(rec.iteration, std::move(theta));
+  rec.iteration = static_cast<int>(launch->seq);
+  rec.theta = launch->theta;
   return rec;
 }
 
@@ -420,7 +348,9 @@ Result<std::vector<KnobRecommendation>> ResTuneServer::RecommendBatch(
   {
     MutexLock lock(&s->mu);
     if (s->closed) return FinishedError(session_id);
-    while (s->state.outstanding.size() < static_cast<size_t>(width)) {
+    const std::map<uint64_t, Vector>& outstanding =
+        s->state.core.outstanding();
+    while (outstanding.size() < static_cast<size_t>(width)) {
       status = IssueRecommendation(session_id, s).status();
       if (!status.ok()) break;
       ++issued;
@@ -428,11 +358,11 @@ Result<std::vector<KnobRecommendation>> ResTuneServer::RecommendBatch(
     // Recommendations issued before a failure stay issued and durable.
     if (issued > 0) PublishRecord(s);
     if (status.ok()) {
-      batch.reserve(s->state.outstanding.size());
-      for (const auto& [iteration, theta] : s->state.outstanding) {
+      batch.reserve(outstanding.size());
+      for (const auto& [iteration, theta] : outstanding) {
         KnobRecommendation rec;
         rec.session_id = session_id;
-        rec.iteration = iteration;
+        rec.iteration = static_cast<int>(iteration);
         rec.theta = theta;
         batch.push_back(std::move(rec));
       }
@@ -451,39 +381,35 @@ Status ResTuneServer::ReportEvaluation(const EvaluationReport& report) {
     MutexLock lock(&s->mu);
     if (s->closed) return FinishedError(report.session_id);
     SessionState& state = s->state;
-    if (report.iteration <= 0 || report.iteration > state.iteration) {
+    const uint64_t launches = state.core.launches();
+    if (report.iteration <= 0 ||
+        static_cast<uint64_t>(report.iteration) > launches) {
       return Status::InvalidArgument(
-          StringPrintf("report for iteration %d, but session is at %d",
-                       report.iteration, state.iteration));
+          StringPrintf("report for iteration %d, but session is at %llu",
+                       report.iteration, (unsigned long long)launches));
     }
-    const auto pending = state.outstanding.find(report.iteration);
-    if (pending == state.outstanding.end()) {
+    EventRecord completion;
+    completion.seq = static_cast<uint64_t>(report.iteration);
+    if (state.core.outstanding().count(completion.seq) == 0) {
       // The iteration was already processed — a duplicate from a client
       // retry.
       return Status::OK();
     }
-
-    EventRecord event;
-    event.kind = EventKind::kComplete;
-    event.seq = static_cast<uint64_t>(report.iteration);
     if (report.fault != FaultKind::kNone) {
       // The replay failed; there are no metrics. The recommended θ (not
       // whatever the client echoed back) is what failed, and it becomes
       // constraint evidence for the advisor.
-      event.failed = true;
-      event.fault = report.fault;
-      EvaluationFault fault;
-      fault.kind = report.fault;
-      fault.message = "client-reported evaluation failure";
-      RESTUNE_RETURN_IF_ERROR(
-          state.advisor->ObserveFailure(pending->second, fault));
+      completion.failed = true;
+      completion.fault = report.fault;
     } else {
       if (report.observation.theta.size() != state.knob_dim) {
         return Status::InvalidArgument("report theta dimension mismatch");
       }
       RESTUNE_RETURN_IF_ERROR(ValidateMetrics(report.observation));
-      RESTUNE_RETURN_IF_ERROR(state.advisor->Observe(report.observation));
-      event.observation = report.observation;
+      completion.observation = report.observation;
+    }
+    RESTUNE_RETURN_IF_ERROR(state.core.Complete(std::move(completion)).status());
+    if (report.fault == FaultKind::kNone) {
       state.observations.push_back(report.observation);
       if (state.sla.IsFeasible(report.observation) &&
           report.observation.res < state.best_feasible_res) {
@@ -492,24 +418,6 @@ Status ResTuneServer::ReportEvaluation(const EvaluationReport& report) {
         state.has_feasible = true;
       }
     }
-    if (state.safety != nullptr) {
-      // Two-tolerance rule: the strict verdict gates safe-config updates,
-      // the lenient one feeds the violation monitor (exploration on the
-      // constraint boundary routinely dips a few percent infeasible).
-      const bool feasible =
-          !event.failed &&
-          state.sla.IsFeasible(event.observation, options_.sla_tolerance);
-      const bool sla_ok =
-          !event.failed &&
-          state.sla.IsFeasible(event.observation,
-                               options_.safety.monitor_tolerance);
-      event.mode_after = state.safety->OnCompletion(
-          pending->second, event.failed, feasible, sla_ok,
-          event.observation.res);
-      event.sla_violated_after = state.safety->sla_violated();
-    }
-    state.log.push_back(std::move(event));
-    state.outstanding.erase(pending);
     PublishRecord(s);
   }
   if (CountMutations(1)) AutoCheckpoint();
@@ -550,7 +458,7 @@ Result<SessionSummary> ResTuneServer::FinishSession(uint64_t session_id) {
     s->closed = true;
     SessionState& state = s->state;
     summary.session_id = session_id;
-    summary.iterations = state.iteration;
+    summary.iterations = static_cast<int>(state.core.launches());
     summary.best_theta = state.best_theta;
     summary.best_feasible_res = state.best_feasible_res;
 
@@ -644,8 +552,8 @@ Status ResTuneServer::WriteSnapshot(std::ostream* out) const {
 }
 
 Result<ResTuneServer::SessionState> ResTuneServer::RebuildSession(
-    SessionState blueprint, std::vector<BaseLearner> learners) const {
-  SessionState session = std::move(blueprint);
+    SessionBlueprint blueprint, std::vector<BaseLearner> learners) const {
+  SessionState session = std::move(blueprint.state);
   session.advisor = std::make_unique<ResTuneAdvisor>(
       session.knob_dim, session.default_theta, std::move(learners),
       session.meta_feature, options_.advisor);
@@ -655,112 +563,37 @@ Result<ResTuneServer::SessionState> ResTuneServer::RebuildSession(
   session.observations.push_back(session.default_observation);
   session.best_theta = session.default_theta;
   session.best_feasible_res = session.default_observation.res;
+  session.core = SessionCore(session.advisor.get(), /*first_seq=*/1);
   if (options_.use_event_sessions) {
-    session.safety = std::make_unique<SafetyController>(options_.safety);
-    session.safety->SetBaseline(session.default_theta,
-                                session.default_observation.res);
-  } else {
-    session.safety.reset();
+    session.core.EnableLadder(options_.safety, session.sla,
+                              options_.sla_tolerance, session.default_theta,
+                              session.default_observation.res);
   }
 
-  // Replay the totally ordered launch/completion log through the fresh
-  // advisor. Launches re-run the (pending-penalized) suggestion and must
-  // match the recorded θ bitwise — the checkpoint stores doubles at
-  // precision 17, so any mismatch means the server was reconstructed with
-  // different advisor options or a different repository and continuing
-  // would silently fork every session. Completions feed the advisor in the
-  // same out-of-order arrival sequence the original server saw.
-  session.outstanding.clear();
-  for (const EventRecord& event : session.log) {
-    const int iteration = static_cast<int>(event.seq);
-    if (event.kind == EventKind::kLaunch) {
-      Vector theta;
-      if (session.safety != nullptr) {
-        if (event.mode == SessionMode::kFrozen &&
-            session.safety->mode() != SessionMode::kFrozen && event.frozen) {
-          // Frozen at launch while the replayed ladder was not: the
-          // original launch hit an advisor failure; mirror the transition
-          // so the recomputed mode matches the record.
-          session.safety->OnAdvisorFailure();
+  // Completions feed the advisor in the same out-of-order arrival sequence
+  // the original server saw; a replay that diverges from the recorded θs
+  // means the server was reconstructed with different advisor options or a
+  // different repository, and continuing would fork every session.
+  RESTUNE_RETURN_IF_ERROR(session.core.Replay(
+      std::move(blueprint.log),
+      [&session](const EventRecord& completion, const Vector&) {
+        if (!completion.failed) {
+          const Observation& obs = completion.observation;
+          session.observations.push_back(obs);
+          if (session.sla.IsFeasible(obs) &&
+              obs.res < session.best_feasible_res) {
+            session.best_feasible_res = obs.res;
+            session.best_theta = obs.theta;
+          }
         }
-        if (event.mode != session.safety->mode()) {
-          return Status::FailedPrecondition(
-              "server checkpoint safety replay diverged at iteration " +
-              std::to_string(iteration) + ": recorded mode '" +
-              SessionModeName(event.mode) + "', replayed '" +
-              SessionModeName(session.safety->mode()) + "'");
-        }
-        if (event.frozen) {
-          // Frozen probe: no advisor call happened at record time, so the
-          // replay must not consume advisor RNG either.
-          theta = session.safety->safe_theta();
-        } else if (event.mode == SessionMode::kConstrained) {
-          session.advisor->SetTrustRegion(session.safety->safe_theta(),
-                                          session.safety->trust_radius());
-        } else {
-          session.advisor->ClearTrustRegion();
-        }
-      }
-      if (theta.empty()) {
-        std::vector<Vector> pending;
-        pending.reserve(session.outstanding.size());
-        for (const auto& [it, pending_theta] : session.outstanding) {
-          pending.push_back(pending_theta);
-        }
-        RESTUNE_ASSIGN_OR_RETURN(theta,
-                                 session.advisor->SuggestNextAsync(pending));
-      }
-      if (!BitwiseEqual(theta, event.theta)) {
-        return Status::FailedPrecondition(
-            "server checkpoint replay diverged at iteration " +
-            std::to_string(iteration) +
-            "; the server was not reconstructed with the original options");
-      }
-      session.outstanding.emplace(iteration, theta);
-      continue;
-    }
-    const auto pending = session.outstanding.find(iteration);
-    if (pending == session.outstanding.end()) {
-      return Status::FailedPrecondition(
-          "server checkpoint completion " + std::to_string(iteration) +
-          " has no matching launch");
-    }
-    if (event.failed) {
-      EvaluationFault fault;
-      fault.kind = event.fault;
-      fault.message = "replayed from server checkpoint";
-      RESTUNE_RETURN_IF_ERROR(
-          session.advisor->ObserveFailure(pending->second, fault));
-    } else {
-      RESTUNE_RETURN_IF_ERROR(session.advisor->Observe(event.observation));
-      session.observations.push_back(event.observation);
-      if (session.sla.IsFeasible(event.observation) &&
-          event.observation.res < session.best_feasible_res) {
-        session.best_feasible_res = event.observation.res;
-        session.best_theta = event.observation.theta;
-      }
-    }
-    if (session.safety != nullptr) {
-      const bool feasible =
-          !event.failed &&
-          session.sla.IsFeasible(event.observation, options_.sla_tolerance);
-      const bool sla_ok =
-          !event.failed &&
-          session.sla.IsFeasible(event.observation,
-                                 options_.safety.monitor_tolerance);
-      const SessionMode after = session.safety->OnCompletion(
-          pending->second, event.failed, feasible, sla_ok,
-          event.observation.res);
-      if (after != event.mode_after ||
-          session.safety->sla_violated() != event.sla_violated_after) {
-        return Status::FailedPrecondition(
-            "server checkpoint safety replay diverged at completion " +
-            std::to_string(iteration) + ": recorded mode_after '" +
-            SessionModeName(event.mode_after) + "', replayed '" +
-            SessionModeName(after) + "'");
-      }
-    }
-    session.outstanding.erase(pending);
+        return Status::OK();
+      }));
+  if (session.core.launches() !=
+      static_cast<uint64_t>(blueprint.iteration)) {
+    return Status::FailedPrecondition(StringPrintf(
+        "server checkpoint session header records %d launches, its log %llu",
+        blueprint.iteration,
+        (unsigned long long)session.core.launches()));
   }
   return session;
 }
@@ -831,7 +664,7 @@ Status ResTuneServer::LoadCheckpoint(std::istream* in) {
     finished.emplace(entry.summary.session_id, std::move(entry));
   }
 
-  std::vector<std::pair<uint64_t, SessionState>> blueprints;
+  std::vector<SessionBlueprint> blueprints;
   RESTUNE_RETURN_IF_ERROR(ParseSessions(in, &blueprints));
 
   // Base-learners come from the restored repository, trained serially so
@@ -840,15 +673,15 @@ Status ResTuneServer::LoadCheckpoint(std::istream* in) {
   const size_t n = blueprints.size();
   std::vector<std::vector<BaseLearner>> learners(n);
   for (size_t i = 0; i < n; ++i) {
-    const SessionState& blueprint = blueprints[i].second;
+    const SessionState& blueprint = blueprints[i].state;
     learners[i] = TrainSessionLearners(repository, blueprint.knob_dim,
                                        blueprint.repository_snapshot);
   }
   std::vector<std::shared_ptr<Session>> rebuilt(n);
   std::vector<Status> statuses(n, Status::OK());
   ThreadPool::Shared()->ParallelFor(n, [&](size_t i) {
-    Result<SessionState> state = RebuildSession(
-        std::move(blueprints[i].second), std::move(learners[i]));
+    Result<SessionState> state =
+        RebuildSession(std::move(blueprints[i]), std::move(learners[i]));
     if (!state.ok()) {
       statuses[i] = state.status();
       return;
@@ -864,7 +697,7 @@ Status ResTuneServer::LoadCheckpoint(std::istream* in) {
   std::map<uint64_t, std::shared_ptr<Session>> sessions;
   for (size_t i = 0; i < n; ++i) {
     RESTUNE_RETURN_IF_ERROR(statuses[i]);  // the server stays as it was
-    sessions.emplace(blueprints[i].first, std::move(rebuilt[i]));
+    sessions.emplace(blueprints[i].id, std::move(rebuilt[i]));
   }
 
   MutexLock write_lock(&ckpt_mu_);
@@ -877,8 +710,8 @@ Status ResTuneServer::LoadCheckpoint(std::istream* in) {
   return Status::OK();
 }
 
-Status ResTuneServer::ParseSessions(
-    std::istream* in, std::vector<std::pair<uint64_t, SessionState>>* out) {
+Status ResTuneServer::ParseSessions(std::istream* in,
+                                    std::vector<SessionBlueprint>* out) {
   RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "sessions"));
   size_t num_sessions = 0;
   if (!(*in >> num_sessions) || num_sessions > (1u << 20)) {
@@ -886,10 +719,10 @@ Status ResTuneServer::ParseSessions(
   }
   for (size_t i = 0; i < num_sessions; ++i) {
     RESTUNE_RETURN_IF_ERROR(ExpectTag(in, "session"));
-    SessionState blueprint;
-    uint64_t id = 0;
+    SessionBlueprint parsed;
+    SessionState& blueprint = parsed.state;
     int has_feasible = 0;
-    if (!(*in >> id >> blueprint.knob_dim >> blueprint.iteration >>
+    if (!(*in >> parsed.id >> blueprint.knob_dim >> parsed.iteration >>
           blueprint.repository_snapshot >> has_feasible)) {
       return Status::IoError("bad session header in server checkpoint");
     }
@@ -911,13 +744,13 @@ Status ResTuneServer::ParseSessions(
     if (!(*in >> num_events) || num_events > (1u << 24)) {
       return Status::IoError("bad event count in server checkpoint");
     }
-    blueprint.log.reserve(num_events);
+    parsed.log.reserve(num_events);
     for (size_t e = 0; e < num_events; ++e) {
       EventRecord event;
       RESTUNE_RETURN_IF_ERROR(ReadEventRecord(in, &event));
-      blueprint.log.push_back(std::move(event));
+      parsed.log.push_back(std::move(event));
     }
-    out->emplace_back(id, std::move(blueprint));
+    out->push_back(std::move(parsed));
   }
   return ExpectTag(in, "end");
 }
@@ -925,29 +758,10 @@ Status ResTuneServer::ParseSessions(
 Status ResTuneServer::SaveCheckpointFile(const std::string& path) const {
   MutexLock write_lock(&ckpt_mu_);
   const auto start = std::chrono::steady_clock::now();
-  const std::string tmp = path + ".tmp";
-  Status status = Status::OK();
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      status = Status::NotFound("cannot open '" + tmp + "' for write");
-    } else {
-      status = WriteSnapshot(&out);
-      if (status.ok()) {
-        out.flush();
-        if (!out.good()) {
-          status = Status::IoError("write to '" + tmp + "' failed");
-        }
-      }
-    }
-  }
-  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
-    status = Status::IoError("rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  // Never leave a half-written temp file behind on failure; a stale .tmp
-  // from a crashed save must not shadow or outlive the real checkpoint.
-  if (!status.ok()) std::remove(tmp.c_str());
-
+  const Status status = WriteFileAtomically(path, [this](std::ostream* out) {
+    ckpt_mu_.AssertHeld();  // held by the caller across the write
+    return WriteSnapshot(out);
+  });
   CheckpointMetrics* metrics = CheckpointMetrics::Get();
   metrics->seconds->Observe(std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - start)

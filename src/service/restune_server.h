@@ -18,6 +18,7 @@
 #include "tuner/checkpoint.h"
 #include "tuner/restune_advisor.h"
 #include "tuner/safety.h"
+#include "tuner/session_core.h"
 
 namespace restune {
 
@@ -40,13 +41,13 @@ struct ServerOptions {
   /// call is durable once the checkpoint that covers it lands.
   std::string checkpoint_path;
   int checkpoint_period = 10;
-  /// Drive sessions through the EventTuningSession degraded-mode ladder
-  /// (tuner/safety.h): each session owns a SafetyController, frozen
-  /// sessions probe the last known-safe config WITHOUT consuming advisor
-  /// RNG, constrained sessions clamp suggestions into the L∞ trust region
-  /// around it, and every event record carries the mode transition so
-  /// checkpoint replay verifies the recomputed ladder. Off by default
-  /// (pure BO behavior, bit-identical to earlier servers).
+  /// Drive sessions through the degraded-mode ladder (tuner/safety.h) of
+  /// their `SessionCore`: frozen sessions probe the last known-safe config
+  /// WITHOUT consuming advisor RNG, constrained sessions clamp suggestions
+  /// into the L∞ trust region around it, and every event record carries
+  /// the mode transition so checkpoint replay verifies the recomputed
+  /// ladder. Off by default (pure BO behavior, bit-identical to earlier
+  /// servers).
   bool use_event_sessions = false;
   /// Ladder thresholds and monitor tolerance (with use_event_sessions).
   SafetyOptions safety;
@@ -201,7 +202,6 @@ class ResTuneServer {
     std::unique_ptr<ResTuneAdvisor> advisor;
     SlaConstraints sla;
     std::vector<Observation> observations;
-    int iteration = 0;
     Vector best_theta;
     double best_feasible_res = 0.0;
     bool has_feasible = false;
@@ -213,16 +213,20 @@ class ResTuneServer {
     /// trains base-learners from exactly this prefix, so tasks archived
     /// later do not silently change the ensemble mid-session.
     size_t repository_snapshot = 0;
-    /// Issued-but-unreported recommendations, keyed by iteration (issue
-    /// order). Derived from unmatched launches in `log` on restore.
-    std::map<int, Vector> outstanding;
-    /// Durable form of the session: the totally ordered launch/completion
-    /// log (launches in suggestion order, completions in report-arrival
-    /// order). Replaying it through a fresh advisor rebuilds everything.
+    /// The tuning loop over `advisor`, launch seq == iteration (from 1).
+    /// Its outstanding launches are the issued-but-unreported
+    /// recommendations; its log (completions in report-arrival order) is
+    /// the durable session. With `use_event_sessions` it drives the ladder.
+    SessionCore core;
+  };
+
+  /// A session as parsed from a checkpoint, before its log is replayed.
+  struct SessionBlueprint {
+    uint64_t id = 0;
+    SessionState state;
+    /// Launches the session header records; the log must agree.
+    int iteration = 0;
     std::vector<EventRecord> log;
-    /// Degraded-mode ladder (only with ServerOptions::use_event_sessions);
-    /// deterministic state machine, rebuilt by log replay on restore.
-    std::unique_ptr<SafetyController> safety;
   };
 
   /// A session's checkpoint text as of its last completed mutation.
@@ -266,7 +270,7 @@ class ResTuneServer {
   /// Replays a restored session's event log through a fresh advisor built
   /// on `learners`. Touches only the blueprint, so restores of different
   /// sessions run concurrently.
-  Result<SessionState> RebuildSession(SessionState blueprint,
+  Result<SessionState> RebuildSession(SessionBlueprint blueprint,
                                       std::vector<BaseLearner> learners) const;
   /// Looks up a session that can still take traffic: kFailedPrecondition
   /// once finished, kNotFound if it never existed.
@@ -288,8 +292,8 @@ class ResTuneServer {
   Status WriteSnapshot(std::ostream* out) const REQUIRES(ckpt_mu_)
       EXCLUDES(mu_);
   /// Parses the sessions section of a checkpoint into blueprints.
-  static Status ParseSessions(
-      std::istream* in, std::vector<std::pair<uint64_t, SessionState>>* out);
+  static Status ParseSessions(std::istream* in,
+                              std::vector<SessionBlueprint>* out);
 
   const ServerOptions options_;  // immutable after construction
   /// Guards the session map, the repository, the finished summaries and

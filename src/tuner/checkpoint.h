@@ -1,6 +1,7 @@
 #ifndef RESTUNE_TUNER_CHECKPOINT_H_
 #define RESTUNE_TUNER_CHECKPOINT_H_
 
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -16,74 +17,25 @@
 
 namespace restune {
 
-/// One completed tuning iteration as recorded in a checkpoint: either a
-/// measured observation or a classified failure of the suggested θ. The
-/// event log is the durable form of the session — advisor state is NOT
-/// serialized; it is rebuilt deterministically by replaying the events
-/// through a freshly constructed advisor (same seeds, same options), which
-/// reproduces every internal RNG draw and GP refit bit-for-bit.
-struct SessionEvent {
-  int iteration = 0;
-  bool failed = false;
-  /// The configuration the advisor suggested (always set).
-  Vector theta;
-  /// The measurement; meaningful only when `failed` is false.
-  Observation observation;
-  /// Final classified fault; kNone on success.
-  FaultKind fault = FaultKind::kNone;
-  int attempts = 1;
-  double backoff_seconds = 0.0;
-};
-
-/// Durable state of a `TuningSession`, written periodically so a killed
-/// process can resume mid-session (paper framing: a production tuning
-/// service must survive restarts without losing a half-finished 200-
-/// iteration run). Mutable RNG streams (simulator noise, fault injector,
-/// supervisor jitter) are captured directly; everything advisor-side is
-/// captured as the event log.
-struct SessionCheckpoint {
-  /// Last completed iteration (== events.back().iteration when non-empty).
-  int iteration = 0;
-  Observation default_observation;
-  SlaConstraints sla;
-  std::vector<SessionEvent> events;
-  DbInstanceSimulator::State simulator_state;
-  RngState supervisor_rng;
-  /// Observability counters at checkpoint time. Replay re-executes advisor
-  /// work (inflating the live counters), so resume overwrites them with
-  /// this snapshot once replay completes — a resumed run reports the same
-  /// totals as the uninterrupted one. Optional in the file format: old
-  /// checkpoints without the section load with an empty snapshot.
-  obs::CounterSnapshot metrics;
-};
-
-Status SaveSessionCheckpoint(const SessionCheckpoint& checkpoint,
-                             std::ostream* out);
-Result<SessionCheckpoint> LoadSessionCheckpoint(std::istream* in);
-
-/// File variants. Saving is atomic: the checkpoint is written to
-/// `<path>.tmp` and renamed over `path`, so a crash mid-write never leaves
-/// a torn checkpoint behind.
-Status SaveSessionCheckpointFile(const SessionCheckpoint& checkpoint,
-                                 const std::string& path);
-Result<SessionCheckpoint> LoadSessionCheckpointFile(const std::string& path);
-
-/// --- Event-driven session checkpoint ------------------------------------
+/// --- Session checkpoint ------------------------------------------------
 ///
-/// The event-driven session's durable form is a *totally ordered* log of
-/// launch and completion records. Launches appear in suggestion order (the
-/// order advisor RNG draws happened); completions appear in delivery order,
-/// which is generally OUT OF ORDER relative to launches. Replaying the log
-/// start to finish through a fresh advisor + safety controller reproduces
-/// every internal state bit-for-bit, including mid-flight evaluations that
-/// had been launched but not yet delivered when the process died.
+/// Every tuning session's durable form is a *totally ordered* log of
+/// launch and completion records (see tuner/session_core.h). Launches
+/// appear in suggestion order (the order advisor RNG draws happened);
+/// completions appear in delivery order, which for the event-driven
+/// session and the server is generally OUT OF ORDER relative to launches.
+/// Advisor state is NOT serialized: replaying the log start to finish
+/// through a fresh advisor + safety controller (same seeds, same options)
+/// reproduces every internal state bit-for-bit, including mid-flight
+/// evaluations that had been launched but not yet delivered when the
+/// process died.
 
 enum class EventKind {
   kLaunch = 0,
   kComplete = 1,
 };
 
-/// One entry of the event-driven session's totally ordered log.
+/// One entry of a session's totally ordered log.
 struct EventRecord {
   EventKind kind = EventKind::kLaunch;
   /// Launch sequence number; pairs a completion with its launch.
@@ -133,8 +85,11 @@ struct InFlightRecord {
   bool watchdog_killed = false;
 };
 
-/// Durable state of an `EventTuningSession`.
-struct EventSessionCheckpoint {
+/// Durable state of a `TuningSession` or `EventTuningSession`, written
+/// periodically so a killed process can resume mid-session. Mutable RNG
+/// streams (simulator noise, fault injector, supervisor jitter) are
+/// captured directly; everything advisor-side is captured as the log.
+struct SessionCheckpoint {
   /// Number of launches issued (== next seq) and completions ingested.
   uint64_t launched = 0;
   int completed = 0;
@@ -146,27 +101,41 @@ struct EventSessionCheckpoint {
   std::vector<InFlightRecord> in_flight;
   DbInstanceSimulator::State simulator_state;
   RngState supervisor_rng;
-  /// Counter snapshot, restored after replay (see SessionCheckpoint).
+  /// Observability counters at checkpoint time. Replay re-executes advisor
+  /// work (inflating the live counters), so resume overwrites them with
+  /// this snapshot once replay completes — a resumed run reports the same
+  /// totals as the uninterrupted one. Optional in the file format: a
+  /// checkpoint without the section loads with an empty snapshot.
   obs::CounterSnapshot metrics;
 };
 
-Status SaveEventSessionCheckpoint(const EventSessionCheckpoint& checkpoint,
-                                  std::ostream* out);
-Result<EventSessionCheckpoint> LoadEventSessionCheckpoint(std::istream* in);
-Status SaveEventSessionCheckpointFile(const EventSessionCheckpoint& checkpoint,
-                                      const std::string& path);
-Result<EventSessionCheckpoint> LoadEventSessionCheckpointFile(
-    const std::string& path);
+/// The text format starts `restune-event-checkpoint 1`. A file of the
+/// retired synchronous format (`restune-checkpoint 1`) loads as
+/// kNotImplemented.
+Status SaveSessionCheckpoint(const SessionCheckpoint& checkpoint,
+                             std::ostream* out);
+Result<SessionCheckpoint> LoadSessionCheckpoint(std::istream* in);
+/// File variants; saving goes through `WriteFileAtomically`.
+Status SaveSessionCheckpointFile(const SessionCheckpoint& checkpoint,
+                                 const std::string& path);
+Result<SessionCheckpoint> LoadSessionCheckpointFile(const std::string& path);
+
+/// Writes a file atomically: `write` fills `<path>.tmp`, which is renamed
+/// over `path` only if every write succeeded. On failure the temp file is
+/// removed, so a crash mid-write never leaves a torn checkpoint behind and
+/// a half-written one is never resumable.
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<Status(std::ostream*)>& write);
 
 /// Shared low-level helpers (also used by the server checkpoint).
+/// Reads one whitespace-delimited token and requires it to be `want`.
+Status ExpectTag(std::istream* in, const std::string& want);
 void WriteRngState(std::ostream* out, const RngState& state);
 Status ReadRngState(std::istream* in, RngState* state);
 void WriteVector(std::ostream* out, const Vector& v);
 Status ReadVector(std::istream* in, Vector* v);
 void WriteObservation(std::ostream* out, const Observation& obs);
 Status ReadObservation(std::istream* in, Observation* obs);
-void WriteSessionEvent(std::ostream* out, const SessionEvent& event);
-Status ReadSessionEvent(std::istream* in, SessionEvent* event);
 void WriteEventRecord(std::ostream* out, const EventRecord& record);
 Status ReadEventRecord(std::istream* in, EventRecord* record);
 void WriteInFlightRecord(std::ostream* out, const InFlightRecord& record);

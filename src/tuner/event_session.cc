@@ -1,11 +1,9 @@
 #include "tuner/event_session.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <string>
 
-#include "common/contracts.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,8 +16,6 @@ struct EventSessionMetrics {
   obs::Counter* launches;
   obs::Counter* completions;
   obs::Counter* watchdog_kills;
-  obs::Counter* frozen_probes;
-  obs::Counter* advisor_failures;
   obs::Counter* checkpoints;
   obs::Counter* resumes;
   obs::Gauge* in_flight;
@@ -35,10 +31,6 @@ struct EventSessionMetrics {
           registry->GetCounter("restune_event_completions_total");
       metrics->watchdog_kills =
           registry->GetCounter("restune_event_watchdog_kills_total");
-      metrics->frozen_probes =
-          registry->GetCounter("restune_event_frozen_probes_total");
-      metrics->advisor_failures =
-          registry->GetCounter("restune_event_advisor_failures_total");
       metrics->checkpoints =
           registry->GetCounter("restune_event_checkpoints_total");
       metrics->resumes = registry->GetCounter("restune_event_resumes_total");
@@ -59,6 +51,14 @@ std::string JsonVector(const Vector& v) {
   return out;
 }
 
+/// Delivery order of the pending heap: earliest delivery first, ties by seq.
+bool DeliveredLater(const InFlightRecord& a, const InFlightRecord& b) {
+  if (a.delivery_seconds != b.delivery_seconds) {
+    return a.delivery_seconds > b.delivery_seconds;
+  }
+  return a.seq > b.seq;
+}
+
 /// Emits a `{"type":"event",...}` line into the trace (no-op when tracing
 /// is disabled). `body` is the comma-joined tail of the JSON object.
 void TraceEvent(const std::string& body) {
@@ -72,10 +72,7 @@ void TraceEvent(const std::string& body) {
 EventTuningSession::EventTuningSession(DbInstanceSimulator* simulator,
                                        Advisor* advisor,
                                        EventSessionOptions options)
-    : simulator_(simulator),
-      advisor_(advisor),
-      options_(options),
-      safety_(options.safety) {}
+    : simulator_(simulator), advisor_(advisor), options_(options) {}
 
 Result<SessionResult> EventTuningSession::Run() { return RunInternal(nullptr); }
 
@@ -85,8 +82,8 @@ Result<SessionResult> EventTuningSession::Resume() {
         "Resume requires fault.checkpoint_path to be set");
   }
   RESTUNE_ASSIGN_OR_RETURN(
-      const EventSessionCheckpoint checkpoint,
-      LoadEventSessionCheckpointFile(options_.fault.checkpoint_path));
+      const SessionCheckpoint checkpoint,
+      LoadSessionCheckpointFile(options_.fault.checkpoint_path));
   return RunInternal(&checkpoint);
 }
 
@@ -97,44 +94,16 @@ double EventTuningSession::WatchdogDeadline() const {
                    simulator_->options().replay_seconds;
 }
 
-std::vector<Vector> EventTuningSession::PendingThetas() const {
-  // Seq order, not heap order: the penalization set must be identical on
-  // every replay regardless of how the heap happens to be laid out.
-  std::vector<const PendingEval*> sorted;
-  sorted.reserve(pending_.size());
-  for (const PendingEval& eval : pending_) sorted.push_back(&eval);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const PendingEval* a, const PendingEval* b) {
-              return a->seq < b->seq;
-            });
-  std::vector<Vector> thetas;
-  thetas.reserve(sorted.size());
-  for (const PendingEval* eval : sorted) thetas.push_back(eval->theta);
-  return thetas;
-}
-
-void EventTuningSession::PushPending(PendingEval eval) {
-  auto later = [](const PendingEval& a, const PendingEval& b) {
-    if (a.delivery_seconds != b.delivery_seconds) {
-      return a.delivery_seconds > b.delivery_seconds;
-    }
-    return a.seq > b.seq;
-  };
+void EventTuningSession::PushPending(InFlightRecord eval) {
   pending_.push_back(std::move(eval));
-  std::push_heap(pending_.begin(), pending_.end(), later);
+  std::push_heap(pending_.begin(), pending_.end(), DeliveredLater);
   EventSessionMetrics::Get()->in_flight->Set(
       static_cast<double>(pending_.size()));
 }
 
-EventTuningSession::PendingEval EventTuningSession::PopPending() {
-  auto later = [](const PendingEval& a, const PendingEval& b) {
-    if (a.delivery_seconds != b.delivery_seconds) {
-      return a.delivery_seconds > b.delivery_seconds;
-    }
-    return a.seq > b.seq;
-  };
-  std::pop_heap(pending_.begin(), pending_.end(), later);
-  PendingEval eval = std::move(pending_.back());
+InFlightRecord EventTuningSession::PopPending() {
+  std::pop_heap(pending_.begin(), pending_.end(), DeliveredLater);
+  InFlightRecord eval = std::move(pending_.back());
   pending_.pop_back();
   EventSessionMetrics::Get()->in_flight->Set(
       static_cast<double>(pending_.size()));
@@ -143,56 +112,26 @@ EventTuningSession::PendingEval EventTuningSession::PopPending() {
 
 Result<bool> EventTuningSession::Launch(EvaluationSupervisor* supervisor) {
   RESTUNE_TRACE_SPAN("session.launch");
-  SessionMode mode = safety_.mode();
-  bool frozen = mode == SessionMode::kFrozen;
-  Vector theta;
-  if (frozen) {
-    theta = safety_.safe_theta();
-    EventSessionMetrics::Get()->frozen_probes->Add();
-  } else {
-    if (mode == SessionMode::kConstrained) {
-      advisor_->SetTrustRegion(safety_.safe_theta(), safety_.trust_radius());
-    } else {
-      advisor_->ClearTrustRegion();
+  Result<const EventRecord*> launched = core_.Launch();
+  if (!launched.ok()) {
+    if (launched.status().code() == StatusCode::kOutOfRange) {
+      return false;  // advisor exhausted (grid search ran out)
     }
-    Result<Vector> suggestion = advisor_->SuggestNextAsync(PendingThetas());
-    if (!suggestion.ok()) {
-      if (suggestion.status().code() == StatusCode::kOutOfRange) {
-        return false;  // advisor exhausted (grid search ran out)
-      }
-      // The surrogate failed to fit — drop to frozen and probe the safe
-      // config instead of propagating: an always-on loop must keep serving.
-      EventSessionMetrics::Get()->advisor_failures->Add();
-      mode = safety_.OnAdvisorFailure();
-      frozen = true;
-      theta = safety_.safe_theta();
-      EventSessionMetrics::Get()->frozen_probes->Add();
-    } else {
-      theta = *suggestion;
-      RESTUNE_DCHECK_ALL_FINITE(theta);
-    }
+    return launched.status();
   }
-
-  const uint64_t seq = launched_++;
-  EventRecord launch;
-  launch.kind = EventKind::kLaunch;
-  launch.seq = seq;
-  launch.theta = theta;
-  launch.frozen = frozen;
-  launch.mode = mode;
-  launch.sla_violated = safety_.sla_violated();
-  records_.push_back(launch);
+  const EventRecord& launch = **launched;
   EventSessionMetrics::Get()->launches->Add();
   {
     std::string body = StringPrintf(
         "\"event\":\"launch\",\"seq\":%llu,\"mode\":\"%s\","
         "\"sla_violated\":%d,\"frozen\":%d",
-        static_cast<unsigned long long>(seq), SessionModeName(mode),
-        launch.sla_violated ? 1 : 0, frozen ? 1 : 0);
-    body += ",\"theta\":" + JsonVector(theta);
-    if (mode != SessionMode::kHealthy) {
-      body += ",\"trust_center\":" + JsonVector(safety_.safe_theta());
-      body += StringPrintf(",\"trust_radius\":%.17g", safety_.trust_radius());
+        static_cast<unsigned long long>(launch.seq),
+        SessionModeName(launch.mode), launch.sla_violated ? 1 : 0,
+        launch.frozen ? 1 : 0);
+    body += ",\"theta\":" + JsonVector(launch.theta);
+    if (launch.mode != SessionMode::kHealthy) {
+      body += ",\"trust_center\":" + JsonVector(safety().safe_theta());
+      body += StringPrintf(",\"trust_radius\":%.17g", safety().trust_radius());
     }
     TraceEvent(body);
   }
@@ -201,10 +140,9 @@ Result<bool> EventTuningSession::Launch(EvaluationSupervisor* supervisor) {
   // launch order — thread-count invariant) but delivered later, when the
   // session clock reaches delivery_seconds.
   RESTUNE_ASSIGN_OR_RETURN(const SupervisedEvaluation supervised,
-                           supervisor->Evaluate(theta));
-  PendingEval pend;
-  pend.seq = seq;
-  pend.theta = theta;
+                           supervisor->Evaluate(launch.theta));
+  InFlightRecord pend;
+  pend.seq = launch.seq;
   pend.attempts = supervised.attempts;
   pend.backoff_seconds = supervised.backoff_seconds;
   pend.elapsed_seconds = supervised.elapsed_seconds;
@@ -228,175 +166,115 @@ Result<bool> EventTuningSession::Launch(EvaluationSupervisor* supervisor) {
   }
   pend.delivery_seconds = clock_seconds_ + pend.elapsed_seconds;
   PushPending(std::move(pend));
-  PublishProgress();
   return true;
 }
 
-EventSessionProgress EventTuningSession::progress() const {
-  MutexLock lock(&progress_mu_);
-  return progress_;
-}
-
-void EventTuningSession::PublishProgress() {
-  MutexLock lock(&progress_mu_);
-  progress_.completed = completed_;
-  progress_.launched = launched_;
-  progress_.in_flight = pending_.size();
-  progress_.clock_seconds = clock_seconds_;
-  progress_.mode = safety_.mode();
-}
-
-void EventTuningSession::ApplyCompletion(SessionResult* result, int iteration,
-                                         const PendingEval& eval,
-                                         bool feasible) {
+void EventTuningSession::ApplyCompletion(SessionResult* result,
+                                         const EventRecord& completion,
+                                         const Vector& theta) {
   IterationRecord rec;
-  rec.iteration = iteration;
-  rec.failed = eval.failed;
-  rec.fault = eval.fault;
-  rec.attempts = eval.attempts;
-  rec.backoff_seconds = eval.backoff_seconds;
+  rec.iteration = core_.completions();
+  rec.failed = completion.failed;
+  rec.fault = completion.fault;
+  rec.attempts = completion.attempts;
+  rec.backoff_seconds = completion.backoff_seconds;
   rec.timing = advisor_->last_timing();
   rec.replay_seconds = simulator_->options().replay_seconds;
-  if (eval.failed) {
-    rec.observation.theta = eval.theta;
+  if (completion.failed) {
+    rec.observation.theta = theta;
     rec.feasible = false;
     ++result->failed_iterations;
   } else {
-    rec.observation = eval.observation;
-    rec.feasible = feasible;
-    if (feasible && rec.observation.res < result->best_feasible_res) {
+    rec.observation = completion.observation;
+    rec.feasible =
+        result->sla.IsFeasible(rec.observation, options_.sla_tolerance);
+    if (rec.feasible && rec.observation.res < result->best_feasible_res) {
       result->best_feasible_res = rec.observation.res;
       result->best_theta = rec.observation.theta;
-      result->best_iteration = iteration;
+      result->best_iteration = rec.iteration;
     }
   }
   rec.best_feasible_res = result->best_feasible_res;
-  result->total_retries += eval.attempts - 1;
+  result->total_retries += completion.attempts - 1;
   result->history.push_back(rec);
 }
 
 Status EventTuningSession::Ingest(SessionResult* result) {
   RESTUNE_TRACE_SPAN("session.ingest");
-  PendingEval eval = PopPending();
+  InFlightRecord eval = PopPending();
   clock_seconds_ = std::max(clock_seconds_, eval.delivery_seconds);
-  const int iteration = ++completed_;
   EventSessionMetrics::Get()->completions->Add();
 
-  if (eval.failed) {
-    if (options_.fault.failure_aware_learning) {
-      EvaluationFault fault;
-      fault.kind = eval.fault;
-      fault.elapsed_seconds = eval.elapsed_seconds;
-      fault.message = eval.watchdog_killed
-                          ? "watchdog cancelled pending slot"
-                          : "supervised evaluation failed";
-      RESTUNE_RETURN_IF_ERROR(advisor_->ObserveFailure(eval.theta, fault));
-    }
-  } else {
-    RESTUNE_RETURN_IF_ERROR(advisor_->Observe(eval.observation));
-  }
-  const bool feasible =
-      !eval.failed &&
-      result->sla.IsFeasible(eval.observation, options_.sla_tolerance);
-  const bool sla_ok =
-      !eval.failed &&
-      result->sla.IsFeasible(eval.observation,
-                             options_.safety.monitor_tolerance);
-  const SessionMode before = safety_.mode();
-  const SessionMode after =
-      safety_.OnCompletion(eval.theta, eval.failed, feasible, sla_ok,
-                           eval.observation.res);
+  EventRecord completion;
+  completion.seq = eval.seq;
+  completion.failed = eval.failed;
+  if (!eval.failed) completion.observation = std::move(eval.observation);
+  completion.fault = eval.fault;
+  completion.attempts = eval.attempts;
+  completion.backoff_seconds = eval.backoff_seconds;
+  completion.elapsed_seconds = eval.elapsed_seconds;
+  completion.watchdog_killed = eval.watchdog_killed;
+  const SessionMode before = core_.mode();
+  RESTUNE_ASSIGN_OR_RETURN(const Vector theta,
+                           core_.Complete(std::move(completion)));
+  const EventRecord& complete = core_.log().back();
+  ApplyCompletion(result, complete, theta);
 
-  EventRecord complete;
-  complete.kind = EventKind::kComplete;
-  complete.seq = eval.seq;
-  complete.failed = eval.failed;
-  complete.observation = eval.failed ? Observation{} : eval.observation;
-  complete.fault = eval.fault;
-  complete.attempts = eval.attempts;
-  complete.backoff_seconds = eval.backoff_seconds;
-  complete.elapsed_seconds = eval.elapsed_seconds;
-  complete.watchdog_killed = eval.watchdog_killed;
-  complete.mode_after = after;
-  complete.sla_violated_after = safety_.sla_violated();
-  records_.push_back(complete);
-
+  const SessionMode after = complete.mode_after;
   TraceEvent(StringPrintf(
       "\"event\":\"complete\",\"seq\":%llu,\"iteration\":%d,\"failed\":%d,"
       "\"fault\":\"%s\",\"watchdog_killed\":%d,\"feasible\":%d,"
       "\"mode_after\":\"%s\",\"sla_violated_after\":%d",
-      static_cast<unsigned long long>(eval.seq), iteration,
-      eval.failed ? 1 : 0, FaultKindName(eval.fault),
-      eval.watchdog_killed ? 1 : 0, feasible ? 1 : 0, SessionModeName(after),
+      static_cast<unsigned long long>(complete.seq), core_.completions(),
+      complete.failed ? 1 : 0, FaultKindName(complete.fault),
+      complete.watchdog_killed ? 1 : 0,
+      result->history.back().feasible ? 1 : 0, SessionModeName(after),
       complete.sla_violated_after ? 1 : 0));
   if (after != before) {
     TraceEvent(StringPrintf(
         "\"event\":\"mode_transition\",\"from\":\"%s\",\"to\":\"%s\","
         "\"seq\":%llu",
         SessionModeName(before), SessionModeName(after),
-        static_cast<unsigned long long>(eval.seq)));
+        static_cast<unsigned long long>(complete.seq)));
   }
-
-  ApplyCompletion(result, iteration, eval, feasible);
-  PublishProgress();
   return Status::OK();
 }
 
 Status EventTuningSession::WriteCheckpoint(
     const SessionResult& result, const EvaluationSupervisor& supervisor) {
-  EventSessionCheckpoint checkpoint;
-  checkpoint.launched = launched_;
-  checkpoint.completed = completed_;
+  SessionCheckpoint checkpoint;
+  checkpoint.launched = core_.launches();
+  checkpoint.completed = core_.completions();
   checkpoint.clock_seconds = clock_seconds_;
   checkpoint.default_observation = result.default_observation;
   checkpoint.sla = result.sla;
-  checkpoint.records = records_;
+  checkpoint.records = core_.log();
   // Pending evaluations in seq order (the heap's layout is an
   // implementation detail that must not leak into checkpoint bytes).
-  std::vector<const PendingEval*> sorted;
-  sorted.reserve(pending_.size());
-  for (const PendingEval& eval : pending_) sorted.push_back(&eval);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const PendingEval* a, const PendingEval* b) {
-              return a->seq < b->seq;
+  checkpoint.in_flight = pending_;
+  std::sort(checkpoint.in_flight.begin(), checkpoint.in_flight.end(),
+            [](const InFlightRecord& a, const InFlightRecord& b) {
+              return a.seq < b.seq;
             });
-  for (const PendingEval* eval : sorted) {
-    InFlightRecord record;
-    record.seq = eval->seq;
-    record.delivery_seconds = eval->delivery_seconds;
-    record.failed = eval->failed;
-    record.observation = eval->observation;
-    record.fault = eval->fault;
-    record.attempts = eval->attempts;
-    record.backoff_seconds = eval->backoff_seconds;
-    record.elapsed_seconds = eval->elapsed_seconds;
-    record.watchdog_killed = eval->watchdog_killed;
-    checkpoint.in_flight.push_back(std::move(record));
-  }
   checkpoint.simulator_state = simulator_->ExportState();
   checkpoint.supervisor_rng = supervisor.rng_state();
   // Count this write before snapshotting so the stored totals include it.
   EventSessionMetrics::Get()->checkpoints->Add();
   checkpoint.metrics = obs::MetricsRegistry::Global()->Counters();
   TraceEvent(StringPrintf("\"event\":\"checkpoint\",\"completed\":%d",
-                          completed_));
-  return SaveEventSessionCheckpointFile(checkpoint,
-                                        options_.fault.checkpoint_path);
+                          core_.completions()));
+  return SaveSessionCheckpointFile(checkpoint, options_.fault.checkpoint_path);
 }
 
 Result<SessionResult> EventTuningSession::RunInternal(
-    const EventSessionCheckpoint* resume_from) {
+    const SessionCheckpoint* resume_from) {
   EvaluationSupervisor supervisor(simulator_, options_.fault.retry,
                                   options_.fault.supervisor_seed);
   SessionResult result;
-  records_.clear();
   pending_.clear();
-  launched_ = 0;
-  completed_ = 0;
   clock_seconds_ = 0.0;
   advisor_exhausted_ = false;
   halted_ = false;
-  safety_ = SafetyController(options_.safety);
 
   if (resume_from == nullptr) {
     // The default-configuration evaluation anchors the SLA and the safety
@@ -414,163 +292,58 @@ Result<SessionResult> EventTuningSession::RunInternal(
     result.default_observation = bootstrap.outcome.observation();
     result.sla = DbInstanceSimulator::ConstraintsFromDefault(
         result.default_observation);
-    result.best_feasible_res = result.default_observation.res;
-    result.best_theta = result.default_observation.theta;
-    result.best_iteration = 0;
-    safety_.SetBaseline(result.default_observation.theta,
-                        result.default_observation.res);
-    RESTUNE_RETURN_IF_ERROR(
-        advisor_->Begin(result.default_observation, result.sla));
   } else {
-    // Resume: rebuild advisor AND safety controller by replaying the
-    // totally ordered event log. Every replayed suggestion is verified
-    // bitwise against the recorded θ and every replayed ladder transition
-    // against the recorded mode — a divergent reconstruction fails loudly
-    // instead of silently forking the run.
     result.resumed = true;
     EventSessionMetrics::Get()->resumes->Add();
     result.default_observation = resume_from->default_observation;
     result.sla = resume_from->sla;
-    result.best_feasible_res = result.default_observation.res;
-    result.best_theta = result.default_observation.theta;
-    result.best_iteration = 0;
-    safety_.SetBaseline(result.default_observation.theta,
-                        result.default_observation.res);
-    RESTUNE_RETURN_IF_ERROR(
-        advisor_->Begin(result.default_observation, result.sla));
+  }
+  result.best_feasible_res = result.default_observation.res;
+  result.best_theta = result.default_observation.theta;
+  result.best_iteration = 0;
+  core_ = SessionCore(advisor_, /*first_seq=*/0);
+  core_.EnableLadder(options_.safety, result.sla, options_.sla_tolerance,
+                     result.default_observation.theta,
+                     result.default_observation.res);
+  RESTUNE_RETURN_IF_ERROR(
+      advisor_->Begin(result.default_observation, result.sla));
 
-    // seq → (theta, frozen) of launches not yet matched by a completion.
-    // std::map keeps seq order — the pending-penalization order.
-    std::map<uint64_t, Vector> outstanding;
-    int replayed_completions = 0;
-    for (const EventRecord& record : resume_from->records) {
-      if (record.kind == EventKind::kLaunch) {
-        // An advisor failure mid-run froze the ladder without a completion
-        // event; mirror it so the replayed mode matches.
-        if (record.mode == SessionMode::kFrozen &&
-            safety_.mode() != SessionMode::kFrozen && record.frozen) {
-          safety_.OnAdvisorFailure();
-        }
-        if (record.mode != safety_.mode()) {
-          return Status::FailedPrecondition(
-              "checkpoint replay diverged at launch " +
-              std::to_string(record.seq) + ": recorded mode '" +
-              SessionModeName(record.mode) + "', replayed '" +
-              SessionModeName(safety_.mode()) + "'");
-        }
-        Vector theta;
-        if (record.frozen) {
-          // Frozen probes never consulted the advisor; replay must not
-          // consume advisor RNG for them either.
-          theta = safety_.safe_theta();
-        } else {
-          if (record.mode == SessionMode::kConstrained) {
-            advisor_->SetTrustRegion(safety_.safe_theta(),
-                                     safety_.trust_radius());
-          } else {
-            advisor_->ClearTrustRegion();
-          }
-          std::vector<Vector> pending_thetas;
-          pending_thetas.reserve(outstanding.size());
-          for (const auto& [seq, t] : outstanding) pending_thetas.push_back(t);
-          RESTUNE_ASSIGN_OR_RETURN(theta,
-                                   advisor_->SuggestNextAsync(pending_thetas));
-          RESTUNE_DCHECK_ALL_FINITE(theta);
-        }
-        bool matches = theta.size() == record.theta.size();
-        for (size_t c = 0; matches && c < theta.size(); ++c) {
-          matches = theta[c] == record.theta[c];
-        }
-        if (!matches) {
-          return Status::FailedPrecondition(
-              "checkpoint replay diverged at launch " +
-              std::to_string(record.seq) +
-              "; advisor was not reconstructed with the original seeds");
-        }
-        outstanding.emplace(record.seq, std::move(theta));
-        continue;
-      }
-      // Completion record.
-      auto it = outstanding.find(record.seq);
-      if (it == outstanding.end()) {
-        return Status::FailedPrecondition(
-            "checkpoint completion " + std::to_string(record.seq) +
-            " has no matching launch");
-      }
-      const Vector theta = it->second;
-      outstanding.erase(it);
-      if (record.failed) {
-        if (options_.fault.failure_aware_learning) {
-          EvaluationFault fault;
-          fault.kind = record.fault;
-          fault.elapsed_seconds = record.elapsed_seconds;
-          fault.message = "replayed from checkpoint";
-          RESTUNE_RETURN_IF_ERROR(advisor_->ObserveFailure(theta, fault));
-        }
-      } else {
-        RESTUNE_RETURN_IF_ERROR(advisor_->Observe(record.observation));
-      }
-      const bool feasible =
-          !record.failed &&
-          result.sla.IsFeasible(record.observation, options_.sla_tolerance);
-      const bool sla_ok =
-          !record.failed &&
-          result.sla.IsFeasible(record.observation,
-                                options_.safety.monitor_tolerance);
-      const SessionMode after = safety_.OnCompletion(
-          theta, record.failed, feasible, sla_ok, record.observation.res);
-      if (after != record.mode_after ||
-          safety_.sla_violated() != record.sla_violated_after) {
-        return Status::FailedPrecondition(
-            "checkpoint replay diverged at completion " +
-            std::to_string(record.seq) +
-            ": safety ladder did not retrace the recorded transitions");
-      }
-      PendingEval eval;
-      eval.seq = record.seq;
-      eval.theta = theta;
-      eval.failed = record.failed;
-      eval.observation = record.observation;
-      eval.fault = record.fault;
-      eval.attempts = record.attempts;
-      eval.backoff_seconds = record.backoff_seconds;
-      eval.elapsed_seconds = record.elapsed_seconds;
-      eval.watchdog_killed = record.watchdog_killed;
-      ApplyCompletion(&result, ++replayed_completions, eval, feasible);
-    }
-    if (replayed_completions != resume_from->completed) {
+  if (resume_from != nullptr) {
+    // Resume: rebuild advisor AND safety ladder by replaying the totally
+    // ordered event log, then re-materialize the pending queue: outcomes
+    // from the checkpoint, θ from the unmatched launches.
+    RESTUNE_RETURN_IF_ERROR(core_.Replay(
+        resume_from->records,
+        [&](const EventRecord& completion, const Vector& theta) -> Status {
+          ApplyCompletion(&result, completion, theta);
+          return Status::OK();
+        }));
+    if (core_.launches() != resume_from->launched ||
+        core_.completions() != resume_from->completed) {
       return Status::FailedPrecondition(
-          "checkpoint completion count does not match its event log");
+          "checkpoint header counts " + std::to_string(resume_from->launched) +
+          " launches and " + std::to_string(resume_from->completed) +
+          " completions, its event log " + std::to_string(core_.launches()) +
+          " and " + std::to_string(core_.completions()));
     }
-    // Re-materialize the pending queue: outcomes from the checkpoint, θ
-    // from the unmatched launches. The two sets must agree exactly.
+    // The pending records, in seq order, must be exactly the unmatched
+    // launches.
+    const std::map<uint64_t, Vector>& outstanding = core_.outstanding();
     if (outstanding.size() != resume_from->in_flight.size()) {
       return Status::FailedPrecondition(
           "checkpoint in-flight records do not match unmatched launches");
     }
+    auto launch = outstanding.begin();
     for (const InFlightRecord& record : resume_from->in_flight) {
-      auto it = outstanding.find(record.seq);
-      if (it == outstanding.end()) {
+      if (record.seq != launch->first) {
         return Status::FailedPrecondition(
             "checkpoint in-flight record " + std::to_string(record.seq) +
-            " has no matching launch");
+            " does not match unmatched launch " +
+            std::to_string(launch->first));
       }
-      PendingEval eval;
-      eval.seq = record.seq;
-      eval.theta = it->second;
-      eval.delivery_seconds = record.delivery_seconds;
-      eval.failed = record.failed;
-      eval.observation = record.observation;
-      eval.fault = record.fault;
-      eval.attempts = record.attempts;
-      eval.backoff_seconds = record.backoff_seconds;
-      eval.elapsed_seconds = record.elapsed_seconds;
-      eval.watchdog_killed = record.watchdog_killed;
-      PushPending(std::move(eval));
+      ++launch;
+      PushPending(record);
     }
-    records_ = resume_from->records;
-    launched_ = resume_from->launched;
-    completed_ = resume_from->completed;
     clock_seconds_ = resume_from->clock_seconds;
     simulator_->RestoreState(resume_from->simulator_state);
     supervisor.set_rng_state(resume_from->supervisor_rng);
@@ -581,21 +354,20 @@ Result<SessionResult> EventTuningSession::RunInternal(
       obs::MetricsRegistry::Global()->RestoreCounters(resume_from->metrics);
     }
   }
-  PublishProgress();  // a poller sees restored state before the first launch
 
   // The halt hook only applies to completions ingested by THIS process —
   // a resumed run past the halt point ignores it.
   int halt_at = options_.halt_after_completions;
-  if (resume_from != nullptr && halt_at > 0 && halt_at <= completed_) {
+  if (resume_from != nullptr && halt_at > 0 && halt_at <= core_.completions()) {
     halt_at = 0;
   }
 
-  while (completed_ < options_.max_iterations) {
+  while (core_.completions() < options_.max_iterations) {
     RESTUNE_TRACE_SPAN("session.iteration");
     while (!advisor_exhausted_ &&
            pending_.size() < static_cast<size_t>(std::max(
                                  1, options_.max_in_flight)) &&
-           launched_ < static_cast<uint64_t>(options_.max_iterations)) {
+           core_.launches() < static_cast<uint64_t>(options_.max_iterations)) {
       RESTUNE_ASSIGN_OR_RETURN(const bool launched, Launch(&supervisor));
       if (!launched) {
         advisor_exhausted_ = true;
@@ -605,10 +377,11 @@ Result<SessionResult> EventTuningSession::RunInternal(
     if (pending_.empty()) break;  // advisor exhausted and queue drained
     RESTUNE_RETURN_IF_ERROR(Ingest(&result));
 
-    const bool halt = halt_at > 0 && completed_ >= halt_at;
+    const int completed = core_.completions();
+    const bool halt = halt_at > 0 && completed >= halt_at;
     if (!options_.fault.checkpoint_path.empty() &&
         options_.fault.checkpoint_period > 0 &&
-        (halt || completed_ % options_.fault.checkpoint_period == 0)) {
+        (halt || completed % options_.fault.checkpoint_period == 0)) {
       RESTUNE_RETURN_IF_ERROR(WriteCheckpoint(result, supervisor));
     }
     if (halt) {
@@ -616,7 +389,7 @@ Result<SessionResult> EventTuningSession::RunInternal(
       return result;
     }
   }
-  if (!options_.fault.checkpoint_path.empty() && !records_.empty()) {
+  if (!options_.fault.checkpoint_path.empty() && !core_.log().empty()) {
     RESTUNE_RETURN_IF_ERROR(WriteCheckpoint(result, supervisor));
   }
   return result;

@@ -5,14 +5,13 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "dbsim/simulator.h"
 #include "tuner/advisor.h"
 #include "tuner/checkpoint.h"
 #include "tuner/safety.h"
 #include "tuner/session.h"
+#include "tuner/session_core.h"
 #include "tuner/supervisor.h"
 
 namespace restune {
@@ -36,8 +35,8 @@ struct EventSessionOptions {
   double watchdog_multiplier = 12.0;
   /// SLA monitor, trust region, and degraded-mode ladder policy.
   SafetyOptions safety;
-  /// Retry/backoff, failure-aware learning, and checkpointing policy
-  /// (checkpoint_period counts completions here).
+  /// Retry/backoff and checkpointing policy (checkpoint_period counts
+  /// completions here).
   SessionFaultOptions fault;
   /// Test hook simulating a kill: stop right after ingesting this many
   /// completions, leaving in-flight evaluations pending in the checkpoint.
@@ -46,27 +45,11 @@ struct EventSessionOptions {
   int halt_after_completions = 0;
 };
 
-/// Point-in-time progress of a running event session, safe to read from a
-/// monitoring thread while the session loop runs (see
-/// `EventTuningSession::progress`).
-struct EventSessionProgress {
-  /// Completions ingested so far.
-  int completed = 0;
-  /// Launches issued so far (≥ completed; the gap is the in-flight set).
-  uint64_t launched = 0;
-  /// Evaluations currently awaiting delivery.
-  size_t in_flight = 0;
-  /// Simulated session clock.
-  double clock_seconds = 0.0;
-  /// Current rung of the degraded-mode ladder.
-  SessionMode mode = SessionMode::kHealthy;
-};
-
-/// Always-on tuning loop: posts evaluation requests to the
-/// `EvaluationSupervisor` asynchronously (up to `max_in_flight`
-/// speculative suggestions, locally penalized near pending points) and
-/// ingests completions in *delivery order* — generally out of order
-/// relative to launches. Simulated delivery: each launch's outcome is
+/// Always-on tuning loop over a `SessionCore` with the safety ladder: posts
+/// evaluation requests to the `EvaluationSupervisor` asynchronously (up to
+/// `max_in_flight` speculative suggestions, locally penalized near pending
+/// points) and ingests completions in *delivery order* — generally out of
+/// order relative to launches. Simulated delivery: each launch's outcome is
 /// computed eagerly (so supervisor/simulator RNG is consumed in launch
 /// order, making the loop thread-count invariant) and queued until the
 /// session clock reaches its delivery time.
@@ -96,76 +79,42 @@ class EventTuningSession {
   /// original seeds/options.
   Result<SessionResult> Resume();
 
-  /// The totally ordered event log of the finished run (for tests and
-  /// post-mortems).
-  const std::vector<EventRecord>& records() const { return records_; }
-  const SafetyController& safety() const { return safety_; }
+  /// The totally ordered event log and the ladder of the last Run() or
+  /// Resume() (for tests and post-mortems).
+  const std::vector<EventRecord>& records() const { return core_.log(); }
+  const SafetyController& safety() const { return *core_.ladder(); }
   /// True when the run stopped via the halt_after_completions test hook.
   bool halted() const { return halted_; }
 
-  /// Snapshot of the session's progress, safe to call from any thread
-  /// while Run()/Resume() executes on another — the server direction needs
-  /// a liveness probe for always-on sessions without stopping them. The
-  /// loop publishes after every launch and ingest; everything else in this
-  /// class stays single-threaded (owned by the thread inside Run).
-  EventSessionProgress progress() const EXCLUDES(progress_mu_);
-
  private:
-  /// A launched evaluation waiting for its delivery time.
-  struct PendingEval {
-    uint64_t seq = 0;
-    Vector theta;
-    double delivery_seconds = 0.0;
-    bool failed = false;
-    Observation observation;
-    FaultKind fault = FaultKind::kNone;
-    int attempts = 1;
-    double backoff_seconds = 0.0;
-    double elapsed_seconds = 0.0;
-    bool watchdog_killed = false;
-  };
-
-  Result<SessionResult> RunInternal(const EventSessionCheckpoint* resume_from);
-  /// Issues one launch: suggestion (advisor or frozen probe), eager
-  /// supervised evaluation, watchdog classification, log + queue append.
+  Result<SessionResult> RunInternal(const SessionCheckpoint* resume_from);
+  /// Issues one launch through the core, evaluates it eagerly under the
+  /// supervisor and the watchdog, and queues the outcome for delivery.
   /// Returns false when the advisor is exhausted (kOutOfRange).
   Result<bool> Launch(EvaluationSupervisor* supervisor);
-  /// Pops the earliest pending completion, feeds advisor + safety, records
-  /// the completion event, and updates `result`. Returns the stop verdict
-  /// (true = session should end).
+  /// Delivers the earliest pending outcome to the core and updates
+  /// `result`.
   Status Ingest(SessionResult* result);
   /// Applies one delivered completion to the result bookkeeping (history,
   /// best tracking, retry totals). Shared verbatim by the live loop and
   /// checkpoint replay so both account identically.
-  void ApplyCompletion(SessionResult* result, int iteration,
-                       const PendingEval& eval, bool feasible);
+  void ApplyCompletion(SessionResult* result, const EventRecord& completion,
+                       const Vector& theta);
   Status WriteCheckpoint(const SessionResult& result,
                          const EvaluationSupervisor& supervisor);
   double WatchdogDeadline() const;
-  std::vector<Vector> PendingThetas() const;
-  void PushPending(PendingEval eval);
-  PendingEval PopPending();
-  /// Copies the loop-owned counters into the mutex-guarded snapshot that
-  /// progress() serves to other threads.
-  void PublishProgress() EXCLUDES(progress_mu_);
+  void PushPending(InFlightRecord eval);
+  InFlightRecord PopPending();
 
   DbInstanceSimulator* simulator_;
   Advisor* advisor_;
   EventSessionOptions options_;
-  SafetyController safety_;
-  std::vector<EventRecord> records_;
-  std::vector<PendingEval> pending_;  // min-heap on (delivery, seq)
-  uint64_t launched_ = 0;
-  int completed_ = 0;
+  SessionCore core_;
+  /// Evaluated launches awaiting delivery: a min-heap on (delivery, seq).
+  std::vector<InFlightRecord> pending_;
   double clock_seconds_ = 0.0;
   bool advisor_exhausted_ = false;
   bool halted_ = false;
-
-  /// Guards only the published snapshot. The loop state above is owned by
-  /// the thread inside Run()/Resume() and deliberately unguarded; this
-  /// narrow hand-off is the session's entire cross-thread surface.
-  mutable Mutex progress_mu_;
-  EventSessionProgress progress_ GUARDED_BY(progress_mu_);
 };
 
 }  // namespace restune

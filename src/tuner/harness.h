@@ -40,8 +40,7 @@ struct ExperimentConfig {
   /// collection always runs fault-free — history tasks model the paper's
   /// curated meta-data, not a flaky production trace.
   FaultInjectionOptions faults;
-  /// Session-level fault tolerance (retry policy, failure-aware learning,
-  /// checkpointing).
+  /// Session-level fault tolerance (retry policy, checkpointing).
   SessionFaultOptions fault_tolerance;
   /// Forwarded to SessionOptions::max_consecutive_infeasible (0 = off).
   int max_consecutive_infeasible = 0;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <fstream>
 
-#include "common/contracts.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -39,6 +38,37 @@ struct LoopState {
   int consecutive_infeasible = 0;
   Observation last_obs;
 };
+
+/// A synchronous session has one launch in flight, so its log must be the
+/// pairs launch k, completion k for k = 0..n-1 with nothing pending. A
+/// permuted or gap-ridden log (hand-edited checkpoint, another driver's
+/// file) would otherwise replay "successfully" while recording bogus
+/// iteration numbers in the history.
+Status CheckSyncLog(const SessionCheckpoint& checkpoint) {
+  const std::vector<EventRecord>& records = checkpoint.records;
+  const uint64_t n = static_cast<uint64_t>(checkpoint.completed);
+  if (checkpoint.completed < 0 || checkpoint.launched != n ||
+      records.size() != 2 * n || !checkpoint.in_flight.empty()) {
+    return Status::FailedPrecondition(
+        "checkpoint is not a synchronous session: " +
+        std::to_string(checkpoint.launched) + " launches, " +
+        std::to_string(checkpoint.completed) + " completions, " +
+        std::to_string(records.size()) + " records, " +
+        std::to_string(checkpoint.in_flight.size()) + " pending");
+  }
+  for (size_t i = 0; i < records.size(); ++i) {
+    const EventKind kind = i % 2 == 0 ? EventKind::kLaunch
+                                      : EventKind::kComplete;
+    if (records[i].kind != kind || records[i].seq != i / 2) {
+      return Status::FailedPrecondition(
+          "checkpoint event log is not a contiguous run prefix: record " +
+          std::to_string(i) + " is " +
+          (records[i].kind == EventKind::kLaunch ? "launch " : "completion ") +
+          std::to_string(records[i].seq));
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -87,14 +117,14 @@ Result<SessionResult> TuningSession::Resume() {
 }
 
 Status TuningSession::WriteCheckpoint(const SessionResult& result,
-                                      const std::vector<SessionEvent>& events,
-                                      const EvaluationSupervisor& supervisor,
-                                      int iteration) {
+                                      const SessionCore& core,
+                                      const EvaluationSupervisor& supervisor) {
   SessionCheckpoint checkpoint;
-  checkpoint.iteration = iteration;
+  checkpoint.launched = core.launches();
+  checkpoint.completed = core.completions();
   checkpoint.default_observation = result.default_observation;
   checkpoint.sla = result.sla;
-  checkpoint.events = events;
+  checkpoint.records = core.log();
   checkpoint.simulator_state = simulator_->ExportState();
   checkpoint.supervisor_rng = supervisor.rng_state();
   // Count this write before snapshotting so the stored totals include it.
@@ -108,6 +138,7 @@ Result<SessionResult> TuningSession::RunInternal(
     const SessionCheckpoint* resume_from) {
   EvaluationSupervisor supervisor(simulator_, options_.fault.retry,
                                   options_.fault.supervisor_seed);
+  SessionCore core(advisor_, /*first_seq=*/0);
   SessionResult result;
   LoopState state;
 
@@ -115,39 +146,39 @@ Result<SessionResult> TuningSession::RunInternal(
   // loop state. Returns 0 to continue, 1 on convergence, 2 when the
   // infeasibility safeguard trips. Used verbatim by replay, which is what
   // makes a resumed run's bookkeeping identical to the uninterrupted one.
-  auto apply_iteration = [&](const SessionEvent& event,
-                             const IterationTiming& timing) -> int {
+  auto apply_iteration = [&](const EventRecord& completion,
+                             const Vector& theta) -> int {
     IterationRecord rec;
-    rec.iteration = event.iteration;
-    rec.failed = event.failed;
-    rec.fault = event.fault;
-    rec.attempts = event.attempts;
-    rec.backoff_seconds = event.backoff_seconds;
-    rec.timing = timing;
+    rec.iteration = core.completions();
+    rec.failed = completion.failed;
+    rec.fault = completion.fault;
+    rec.attempts = completion.attempts;
+    rec.backoff_seconds = completion.backoff_seconds;
+    rec.timing = advisor_->last_timing();
     rec.replay_seconds = simulator_->options().replay_seconds;
-    if (event.failed) {
+    if (completion.failed) {
       // No metrics to record; the suggested θ is kept for the trace. A
       // failed evaluation cannot be feasible and interrupts any stability
       // streak (the loop observed nothing comparable this iteration).
-      rec.observation.theta = event.theta;
+      rec.observation.theta = theta;
       rec.feasible = false;
       ++result.failed_iterations;
       state.stable_iterations = 0;
     } else {
-      rec.observation = event.observation;
+      rec.observation = completion.observation;
       rec.feasible = result.sla.IsFeasible(rec.observation,
                                            options_.sla_tolerance);
       if (rec.feasible && rec.observation.res < result.best_feasible_res) {
         result.best_feasible_res = rec.observation.res;
         result.best_theta = rec.observation.theta;
-        result.best_iteration = event.iteration;
+        result.best_iteration = rec.iteration;
       }
     }
     rec.best_feasible_res = result.best_feasible_res;
-    result.total_retries += event.attempts - 1;
+    result.total_retries += completion.attempts - 1;
     result.history.push_back(rec);
 
-    if (!event.failed) {
+    if (!completion.failed) {
       // Convergence rule: all three metrics stable for a whole window.
       auto rel_change = [](double now, double before) {
         return std::fabs(now - before) / std::max(std::fabs(before), 1e-9);
@@ -177,9 +208,6 @@ Result<SessionResult> TuningSession::RunInternal(
     return 0;
   };
 
-  std::vector<SessionEvent> events;
-  int start_iteration = 1;
-
   if (resume_from == nullptr) {
     // The default-configuration evaluation anchors the SLA; it must not die
     // to a random injected fault, so the supervisor retries every kind here.
@@ -196,144 +224,88 @@ Result<SessionResult> TuningSession::RunInternal(
     result.default_observation = bootstrap.outcome.observation();
     result.sla = DbInstanceSimulator::ConstraintsFromDefault(
         result.default_observation);
-    result.best_feasible_res = result.default_observation.res;
-    result.best_theta = result.default_observation.theta;
-    result.best_iteration = 0;
-    state.last_obs = result.default_observation;
-    RESTUNE_RETURN_IF_ERROR(
-        advisor_->Begin(result.default_observation, result.sla));
   } else {
+    RESTUNE_RETURN_IF_ERROR(CheckSyncLog(*resume_from));
+    result.resumed = true;
+    SessionMetrics::Get()->resumes->Add();
+    result.default_observation = resume_from->default_observation;
+    result.sla = resume_from->sla;
+  }
+  result.best_feasible_res = result.default_observation.res;
+  result.best_theta = result.default_observation.theta;
+  result.best_iteration = 0;
+  state.last_obs = result.default_observation;
+  RESTUNE_RETURN_IF_ERROR(
+      advisor_->Begin(result.default_observation, result.sla));
+
+  if (resume_from != nullptr) {
     // Resume: rebuild the advisor by replaying the event log through it.
     // Evaluations are NOT re-run — the metrics come from the log and the
     // simulator/supervisor RNG streams are restored afterwards, so the
     // continuation consumes exactly the draws the interrupted run would
     // have.
-    result.resumed = true;
-    SessionMetrics::Get()->resumes->Add();
-    result.default_observation = resume_from->default_observation;
-    result.sla = resume_from->sla;
-    result.best_feasible_res = result.default_observation.res;
-    result.best_theta = result.default_observation.theta;
-    result.best_iteration = 0;
-    state.last_obs = result.default_observation;
-    RESTUNE_RETURN_IF_ERROR(
-        advisor_->Begin(result.default_observation, result.sla));
-
-    // Replay precondition: the event log must be the contiguous prefix
-    // 1..n of a run. A permuted or gap-ridden log (hand-edited checkpoint,
-    // version skew) would otherwise replay "successfully" while recording
-    // bogus iteration numbers in the history.
-    for (size_t i = 0; i < resume_from->events.size(); ++i) {
-      if (resume_from->events[i].iteration != static_cast<int>(i) + 1) {
-        return Status::FailedPrecondition(
-            "checkpoint event log is not a contiguous run prefix: entry " +
-            std::to_string(i) + " has iteration " +
-            std::to_string(resume_from->events[i].iteration) + ", expected " +
-            std::to_string(i + 1));
-      }
-    }
-    for (size_t i = 0; i < resume_from->events.size(); ++i) {
-      const SessionEvent& event = resume_from->events[i];
-      RESTUNE_ASSIGN_OR_RETURN(const Vector theta, advisor_->SuggestNext());
-      // The advisor owns suggestion quality: a non-finite knob here is an
-      // advisor bug, not checkpoint corruption (the recorded theta is only
-      // compared against, never executed, during replay).
-      RESTUNE_DCHECK_ALL_FINITE(theta);
-      // Bitwise verification: the freshly constructed advisor must retrace
-      // the recorded run exactly (checkpoint doubles round-trip exactly at
-      // precision 17). A mismatch means the advisor was rebuilt with
-      // different seeds/options — continuing would silently fork the run.
-      bool matches = theta.size() == event.theta.size();
-      for (size_t c = 0; matches && c < theta.size(); ++c) {
-        matches = theta[c] == event.theta[c];
-      }
-      if (!matches) {
-        return Status::FailedPrecondition(
-            "checkpoint replay diverged at iteration " +
-            std::to_string(event.iteration) +
-            "; advisor was not reconstructed with the original seeds");
-      }
-      if (event.failed) {
-        if (options_.fault.failure_aware_learning) {
-          EvaluationFault fault;
-          fault.kind = event.fault;
-          fault.message = "replayed from checkpoint";
-          RESTUNE_RETURN_IF_ERROR(
-              advisor_->ObserveFailure(event.theta, fault));
-        }
-      } else {
-        RESTUNE_RETURN_IF_ERROR(advisor_->Observe(event.observation));
-      }
-      const int stop = apply_iteration(event, advisor_->last_timing());
-      if (stop != 0 && i + 1 < resume_from->events.size()) {
-        return Status::FailedPrecondition(
-            "checkpoint event log continues past a session stop condition");
-      }
-      if (stop != 0) {
-        if (!resume_from->metrics.empty()) {
-          obs::MetricsRegistry::Global()->RestoreCounters(resume_from->metrics);
-        }
-        return result;
-      }
-    }
-    events = resume_from->events;
-    start_iteration = resume_from->iteration + 1;
+    bool stopped = false;
+    RESTUNE_RETURN_IF_ERROR(core.Replay(
+        resume_from->records,
+        [&](const EventRecord& completion, const Vector& theta) -> Status {
+          stopped = apply_iteration(completion, theta) != 0;
+          if (stopped && core.completions() < resume_from->completed) {
+            return Status::FailedPrecondition(
+                "checkpoint event log continues past a session stop "
+                "condition");
+          }
+          return Status::OK();
+        }));
     simulator_->RestoreState(resume_from->simulator_state);
     supervisor.set_rng_state(resume_from->supervisor_rng);
     // Replay re-ran the advisor's model work and inflated the live counters;
     // rewind them to the checkpointed totals so a resumed session reports
-    // the same numbers as the uninterrupted run. Old checkpoints without a
+    // the same numbers as the uninterrupted run. Checkpoints without a
     // metrics section leave the counters untouched.
     if (!resume_from->metrics.empty()) {
       obs::MetricsRegistry::Global()->RestoreCounters(resume_from->metrics);
     }
+    if (stopped) return result;
   }
 
-  for (int iter = start_iteration; iter <= options_.max_iterations; ++iter) {
+  for (int iter = core.completions() + 1; iter <= options_.max_iterations;
+       ++iter) {
     RESTUNE_TRACE_SPAN("session.iteration");
     SessionMetrics::Get()->iterations->Add();
-    Result<Vector> suggestion = [&]() -> Result<Vector> {
+    Result<const EventRecord*> launch = [&]() {
       RESTUNE_TRACE_SPAN("session.suggest");
-      return advisor_->SuggestNext();
+      return core.Launch();
     }();
-    if (!suggestion.ok()) {
-      if (suggestion.status().code() == StatusCode::kOutOfRange) break;
-      return suggestion.status();
+    if (!launch.ok()) {
+      if (launch.status().code() == StatusCode::kOutOfRange) break;
+      return launch.status();
     }
-    RESTUNE_DCHECK_ALL_FINITE(*suggestion);
+    EventRecord completion;
+    completion.seq = (*launch)->seq;
     RESTUNE_ASSIGN_OR_RETURN(const SupervisedEvaluation supervised,
-                             supervisor.Evaluate(*suggestion));
-
-    SessionEvent event;
-    event.iteration = iter;
-    event.theta = *suggestion;
-    event.attempts = supervised.attempts;
-    event.backoff_seconds = supervised.backoff_seconds;
+                             supervisor.Evaluate((*launch)->theta));
+    completion.attempts = supervised.attempts;
+    completion.backoff_seconds = supervised.backoff_seconds;
+    completion.elapsed_seconds = supervised.elapsed_seconds;
     if (supervised.outcome.ok()) {
-      event.observation = supervised.outcome.observation();
-      RESTUNE_RETURN_IF_ERROR(advisor_->Observe(event.observation));
+      completion.observation = supervised.outcome.observation();
     } else {
-      event.failed = true;
-      event.fault = supervised.outcome.fault().kind;
-      if (options_.fault.failure_aware_learning) {
-        RESTUNE_RETURN_IF_ERROR(
-            advisor_->ObserveFailure(*suggestion, supervised.outcome.fault()));
-      }
+      completion.failed = true;
+      completion.fault = supervised.outcome.fault().kind;
     }
-    events.push_back(event);
+    RESTUNE_ASSIGN_OR_RETURN(const Vector theta,
+                             core.Complete(std::move(completion)));
 
-    const int stop = apply_iteration(event, advisor_->last_timing());
+    const int stop = apply_iteration(core.log().back(), theta);
     if (!options_.fault.checkpoint_path.empty() &&
         options_.fault.checkpoint_period > 0 &&
         (stop != 0 || iter % options_.fault.checkpoint_period == 0)) {
-      RESTUNE_RETURN_IF_ERROR(
-          WriteCheckpoint(result, events, supervisor, iter));
+      RESTUNE_RETURN_IF_ERROR(WriteCheckpoint(result, core, supervisor));
     }
     if (stop != 0) break;
   }
-  if (!options_.fault.checkpoint_path.empty() && !events.empty()) {
-    RESTUNE_RETURN_IF_ERROR(WriteCheckpoint(result, events, supervisor,
-                                            events.back().iteration));
+  if (!options_.fault.checkpoint_path.empty() && !core.log().empty()) {
+    RESTUNE_RETURN_IF_ERROR(WriteCheckpoint(result, core, supervisor));
   }
   return result;
 }

@@ -8,19 +8,17 @@
 #include "dbsim/simulator.h"
 #include "tuner/advisor.h"
 #include "tuner/checkpoint.h"
+#include "tuner/session_core.h"
 #include "tuner/supervisor.h"
 
 namespace restune {
 
 /// Fault-tolerance policy of a tuning session: how evaluations are
-/// supervised, whether failures feed back into the advisor, and where
-/// session state is checkpointed for crash recovery.
+/// supervised and where session state is checkpointed for crash recovery.
+/// Classified failures always feed back into the advisor as hard SLA
+/// violations (constraint evidence + knob quarantine).
 struct SessionFaultOptions {
   RetryPolicy retry;
-  /// Feed classified evaluation failures back to the advisor as hard SLA
-  /// violations (constraint evidence + knob quarantine). Off replicates the
-  /// fail-and-forget behavior of a supervision-less loop.
-  bool failure_aware_learning = true;
   /// Path of the session checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
   /// Checkpoint every this many iterations (a final checkpoint is always
@@ -47,7 +45,7 @@ struct SessionOptions {
   /// suggestions violate the SLA. Failed evaluations count as violations.
   /// 0 disables the guard.
   int max_consecutive_infeasible = 0;
-  /// Retry/backoff, failure-aware learning, and checkpointing policy.
+  /// Retry/backoff and checkpointing policy.
   SessionFaultOptions fault;
 };
 
@@ -104,10 +102,13 @@ struct SessionResult {
 /// Drives one tuning task end to end: evaluates the DBA default to fix the
 /// SLA thresholds, then loops advisor suggestion → supervised replay →
 /// feedback, tracking the best feasible configuration (the paper's tuning
-/// loop, Section 4). Every evaluation runs under the `EvaluationSupervisor`
-/// (deadline, bounded retries with backoff); persistent failures feed back
-/// into the advisor as hard SLA violations, and session state is
-/// periodically checkpointed when a checkpoint path is configured.
+/// loop, Section 4). The loop is a `SessionCore` with no safety ladder and
+/// one launch in flight, plus the paper's convergence rule and the
+/// infeasibility safeguard. Every evaluation runs under the
+/// `EvaluationSupervisor` (deadline, bounded retries with backoff);
+/// persistent failures feed back into the advisor as hard SLA violations,
+/// and session state is periodically checkpointed when a checkpoint path
+/// is configured.
 class TuningSession {
  public:
   TuningSession(DbInstanceSimulator* simulator, Advisor* advisor,
@@ -120,16 +121,17 @@ class TuningSession {
   /// options) is rebuilt by replaying the checkpoint's event log — each
   /// replayed suggestion is verified bitwise against the recorded θ, so a
   /// divergent advisor configuration fails loudly instead of silently
-  /// continuing a different run. The simulator's and supervisor's RNG
-  /// streams are restored, making the continuation byte-identical to the
-  /// uninterrupted run.
+  /// continuing a different run. The log must alternate launch k,
+  /// completion k from the first seq, and must end at the first stop
+  /// condition it reaches. The simulator's and supervisor's RNG streams are
+  /// restored, making the continuation byte-identical to the uninterrupted
+  /// run.
   Result<SessionResult> Resume();
 
  private:
   Result<SessionResult> RunInternal(const SessionCheckpoint* resume_from);
-  Status WriteCheckpoint(const SessionResult& result,
-                         const std::vector<SessionEvent>& events,
-                         const EvaluationSupervisor& supervisor, int iteration);
+  Status WriteCheckpoint(const SessionResult& result, const SessionCore& core,
+                         const EvaluationSupervisor& supervisor);
 
   DbInstanceSimulator* simulator_;
   Advisor* advisor_;

@@ -56,8 +56,7 @@ struct SupervisedEvaluation {
 /// the reproducibility contract (evaluations draw jitter in launch order),
 /// so serializing calls with a mutex would be insufficient anyway — the
 /// caller must impose a total order. The event session does: it runs the
-/// supervisor on the loop thread only, and exposes cross-thread state
-/// through its own mutex-guarded progress snapshot instead.
+/// supervisor on the loop thread only.
 class EvaluationSupervisor {
  public:
   EvaluationSupervisor(DbInstanceSimulator* simulator, RetryPolicy policy = {},

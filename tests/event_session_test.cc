@@ -463,7 +463,7 @@ TEST_F(EventSessionTest, SlaBurstTripsLadderKeepsSuggestionsInTrustRegion) {
 // -------------------------------------------------------- checkpoint/resume
 
 TEST(EventCheckpointTest, RoundTripsRecordsAndInFlight) {
-  EventSessionCheckpoint checkpoint;
+  SessionCheckpoint checkpoint;
   checkpoint.launched = 3;
   checkpoint.completed = 1;
   checkpoint.clock_seconds = 1234.5;
@@ -511,8 +511,8 @@ TEST(EventCheckpointTest, RoundTripsRecordsAndInFlight) {
   checkpoint.in_flight.push_back(pending);
 
   std::stringstream stream;
-  ASSERT_TRUE(SaveEventSessionCheckpoint(checkpoint, &stream).ok());
-  const auto loaded = LoadEventSessionCheckpoint(&stream);
+  ASSERT_TRUE(SaveSessionCheckpoint(checkpoint, &stream).ok());
+  const auto loaded = LoadSessionCheckpoint(&stream);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->launched, 3u);
   EXPECT_EQ(loaded->completed, 1);
@@ -536,11 +536,11 @@ TEST(EventCheckpointTest, RoundTripsRecordsAndInFlight) {
 
 TEST(EventCheckpointTest, RejectsCorruptStreams) {
   std::stringstream wrong_magic("not-an-event-checkpoint 1\n");
-  EXPECT_FALSE(LoadEventSessionCheckpoint(&wrong_magic).ok());
+  EXPECT_FALSE(LoadSessionCheckpoint(&wrong_magic).ok());
   std::stringstream wrong_version("restune-event-checkpoint 9\n");
-  EXPECT_FALSE(LoadEventSessionCheckpoint(&wrong_version).ok());
+  EXPECT_FALSE(LoadSessionCheckpoint(&wrong_version).ok());
   std::stringstream truncated("restune-event-checkpoint 1\nlaunched 3\n");
-  EXPECT_FALSE(LoadEventSessionCheckpoint(&truncated).ok());
+  EXPECT_FALSE(LoadSessionCheckpoint(&truncated).ok());
 }
 
 /// Strips the process-global metrics snapshot from checkpoint text: the
@@ -595,7 +595,7 @@ TEST_F(EventSessionTest, KillAndResumeMidFlightReplaysByteIdentical) {
   }
   // The kill left launched-but-undelivered evaluations in the checkpoint.
   {
-    const auto mid = LoadEventSessionCheckpointFile(halted_path);
+    const auto mid = LoadSessionCheckpointFile(halted_path);
     ASSERT_TRUE(mid.ok()) << mid.status().ToString();
     EXPECT_EQ(mid->completed, 12);
     EXPECT_FALSE(mid->in_flight.empty())
@@ -671,6 +671,53 @@ TEST_F(EventSessionTest, ResumeWithDivergentAdvisorSeedFailsLoudly) {
   const auto resumed = EventTuningSession(&sim, &other, options).Resume();
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+TEST_F(EventSessionTest, ResumeRejectsMalformedLaunchSequences) {
+  const std::string path = testing::TempDir() + "/event_malformed.ckpt";
+  EventSessionOptions options;
+  options.max_iterations = 12;
+  options.fault.checkpoint_path = path;
+  options.fault.checkpoint_period = 6;
+  options.halt_after_completions = 6;
+  {
+    DbInstanceSimulator sim = CaseStudySimulator(79);
+    CboAdvisor advisor("cbo", 3, FastAdvisorOptions());
+    ASSERT_TRUE(EventTuningSession(&sim, &advisor, options).Run().ok());
+  }
+  const auto halted = LoadSessionCheckpointFile(path);
+  ASSERT_TRUE(halted.ok()) << halted.status().ToString();
+
+  // Resumes `checkpoint` with a freshly built advisor.
+  auto resume = [&](const SessionCheckpoint& checkpoint) {
+    EXPECT_TRUE(SaveSessionCheckpointFile(checkpoint, path).ok());
+    DbInstanceSimulator sim = CaseStudySimulator(79);
+    CboAdvisor advisor("cbo", 3, FastAdvisorOptions());
+    return EventTuningSession(&sim, &advisor, options).Resume();
+  };
+  ASSERT_TRUE(resume(*halted).ok());
+
+  // The newest in-flight launch re-uses the seq of the one before it, and
+  // its pending outcome is dropped: the log still pairs up, so only the
+  // launch-sequence check can tell.
+  SessionCheckpoint duplicate = *halted;
+  ASSERT_GE(duplicate.in_flight.size(), 2u);
+  const uint64_t newest = duplicate.in_flight.back().seq;
+  duplicate.in_flight.pop_back();
+  for (EventRecord& record : duplicate.records) {
+    if (record.kind == EventKind::kLaunch && record.seq == newest) {
+      record.seq = duplicate.in_flight.back().seq;
+    }
+  }
+  EXPECT_EQ(resume(duplicate).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The header counts one launch fewer than the log holds.
+  SessionCheckpoint short_header = *halted;
+  --short_header.launched;
+  EXPECT_EQ(resume(short_header).status().code(),
+            StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
 

@@ -453,22 +453,23 @@ TEST(SessionFaultTest, SessionSurvivesTwentyPercentFaults) {
   }
 }
 
-TEST(SessionFaultTest, PersistentOomTripsInfeasibilitySafeguard) {
-  // An advisor stuck on the OOM corner of the pool space: every evaluation
-  // crashes deterministically, each failed iteration counts as infeasible,
-  // and the safety rail aborts the session.
-  class OomAdvisor : public Advisor {
-   public:
-    const std::string& name() const override { return name_; }
-    Status Begin(const Observation&, const SlaConstraints&) override {
-      return Status::OK();
-    }
-    Result<Vector> SuggestNext() override { return Vector{1.0}; }
-    Status Observe(const Observation&) override { return Status::OK(); }
+/// An advisor stuck on the OOM corner of the pool space.
+class OomAdvisor : public Advisor {
+ public:
+  const std::string& name() const override { return name_; }
+  Status Begin(const Observation&, const SlaConstraints&) override {
+    return Status::OK();
+  }
+  Result<Vector> SuggestNext() override { return Vector{1.0}; }
+  Status Observe(const Observation&) override { return Status::OK(); }
 
-   private:
-    std::string name_ = "oom";
-  };
+ private:
+  std::string name_ = "oom";
+};
+
+TEST(SessionFaultTest, PersistentOomTripsInfeasibilitySafeguard) {
+  // Every evaluation crashes deterministically, each failed iteration
+  // counts as infeasible, and the safety rail aborts the session.
   DbInstanceSimulator sim = PoolSimulator(53);
   OomAdvisor advisor;
   SessionOptions options;
@@ -501,61 +502,17 @@ TEST(SessionFaultTest, UnrecoverableBootstrapAborts) {
 
 // --------------------------------------------------------- checkpoint files
 
-TEST(CheckpointTest, RoundTripsThroughStream) {
-  SessionCheckpoint checkpoint;
-  checkpoint.iteration = 12;
-  checkpoint.default_observation.theta = {0.25, 0.75};
-  checkpoint.default_observation.res = 1.0 / 3.0;
-  checkpoint.default_observation.tps = 1234.5;
-  checkpoint.default_observation.lat = 0.01;
-  checkpoint.sla = SlaConstraints{1000.0, 0.02};
-  checkpoint.simulator_state.num_evaluations = 13;
-  checkpoint.simulator_state.simulated_seconds = 2340.0;
-  Rng scramble(77);
-  for (int i = 0; i < 9; ++i) scramble.Uniform();
-  checkpoint.simulator_state.rng = scramble.state();
+// Round trips and corrupt streams of the session checkpoint format are
+// covered in event_session_test (EventCheckpointTest).
 
-  SessionEvent ok_event;
-  ok_event.iteration = 11;
-  ok_event.theta = {0.1, 0.9};
-  ok_event.observation = checkpoint.default_observation;
-  ok_event.attempts = 2;
-  ok_event.backoff_seconds = 15.0;
-  SessionEvent failed_event;
-  failed_event.iteration = 12;
-  failed_event.failed = true;
-  failed_event.fault = FaultKind::kTimeout;
-  failed_event.theta = {1.0 / 7.0, 2.0 / 7.0};
-  checkpoint.events = {ok_event, failed_event};
-
-  std::stringstream stream;
-  ASSERT_TRUE(SaveSessionCheckpoint(checkpoint, &stream).ok());
-  const auto loaded = LoadSessionCheckpoint(&stream);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->iteration, 12);
-  EXPECT_EQ(loaded->default_observation.res, checkpoint.default_observation.res);
-  EXPECT_EQ(loaded->sla.min_tps, 1000.0);
-  EXPECT_EQ(loaded->simulator_state.num_evaluations, 13u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(loaded->simulator_state.rng.s[i],
-              checkpoint.simulator_state.rng.s[i]);
-  }
-  ASSERT_EQ(loaded->events.size(), 2u);
-  EXPECT_EQ(loaded->events[0].theta, ok_event.theta);
-  EXPECT_EQ(loaded->events[0].attempts, 2);
-  EXPECT_EQ(loaded->events[0].backoff_seconds, 15.0);
-  EXPECT_TRUE(loaded->events[1].failed);
-  EXPECT_EQ(loaded->events[1].fault, FaultKind::kTimeout);
-  EXPECT_EQ(loaded->events[1].theta, failed_event.theta);
-}
-
-TEST(CheckpointTest, RejectsCorruptStreams) {
-  std::stringstream wrong_magic("not-a-checkpoint 1\n");
-  EXPECT_FALSE(LoadSessionCheckpoint(&wrong_magic).ok());
-  std::stringstream wrong_version("restune-checkpoint 9\n");
-  EXPECT_FALSE(LoadSessionCheckpoint(&wrong_version).ok());
-  std::stringstream truncated("restune-checkpoint 1\niteration 3\n");
-  EXPECT_FALSE(LoadSessionCheckpoint(&truncated).ok());
+TEST(CheckpointTest, RetiredSynchronousFormatIsATypedError) {
+  // The head of a file the synchronous session wrote before it moved to the
+  // one session format.
+  std::stringstream retired(
+      "restune-checkpoint 1\niteration 1\ndefault\n1 2 3\n0\n0\n");
+  const auto loaded = LoadSessionCheckpoint(&retired);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotImplemented);
 }
 
 CboAdvisorOptions ResumeAdvisorOptions(uint64_t seed = 61) {
@@ -642,6 +599,59 @@ TEST(SessionResumeTest, DivergentAdvisorSeedFailsLoudly) {
   const auto resumed = TuningSession(&sim, &other, options).Resume();
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+TEST(SessionResumeTest, ResumeRejectsLogsThatAreNotARunPrefix) {
+  const std::string path = testing::TempDir() + "/fault_prefix.ckpt";
+  SessionOptions options;
+  options.max_iterations = 4;
+  options.fault.checkpoint_path = path;
+  {
+    DbInstanceSimulator sim = PoolSimulator(53);
+    OomAdvisor advisor;
+    ASSERT_TRUE(TuningSession(&sim, &advisor, options).Run().ok());
+  }
+  auto checkpoint = LoadSessionCheckpointFile(path);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  ASSERT_EQ(checkpoint->records.size(), 8u);
+  // Launch 1 before completion 0: a valid event-session log, but not one a
+  // synchronous session (one launch in flight) can have written.
+  std::swap(checkpoint->records[1], checkpoint->records[2]);
+  ASSERT_TRUE(SaveSessionCheckpointFile(*checkpoint, path).ok());
+
+  DbInstanceSimulator sim = PoolSimulator(53);
+  OomAdvisor advisor;
+  const auto resumed = TuningSession(&sim, &advisor, options).Resume();
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(resumed.status().message().find("contiguous run prefix"),
+            std::string::npos)
+      << resumed.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(SessionResumeTest, ResumeRejectsLogsPastAStopCondition) {
+  const std::string path = testing::TempDir() + "/fault_past_stop.ckpt";
+  SessionOptions options;
+  options.max_iterations = 5;
+  options.fault.checkpoint_path = path;
+  {
+    // No safety rail: all five crashed iterations are logged.
+    DbInstanceSimulator sim = PoolSimulator(53);
+    OomAdvisor advisor;
+    ASSERT_TRUE(TuningSession(&sim, &advisor, options).Run().ok());
+  }
+  // With the rail at three, the run would have stopped after iteration 3.
+  options.max_consecutive_infeasible = 3;
+  DbInstanceSimulator sim = PoolSimulator(53);
+  OomAdvisor advisor;
+  const auto resumed = TuningSession(&sim, &advisor, options).Resume();
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(resumed.status().message().find("past a session stop condition"),
+            std::string::npos)
+      << resumed.status().ToString();
   std::remove(path.c_str());
 }
 
@@ -916,6 +926,41 @@ TEST_F(ServerFaultTest, LoadRejectsCorruptCheckpoints) {
   EXPECT_FALSE(server.LoadCheckpoint(&truncated).ok());
   EXPECT_EQ(server.LoadCheckpointFile("/no/such/file.ckpt").code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(ServerFaultTest, LoadRejectsSessionHeaderBehindItsLog) {
+  DbInstanceSimulator sim = MakeSim(83);
+  ResTuneClient client(&sim, characterizer_.get());
+  ResTuneServer server;
+  const auto session = server.StartSession(*client.PrepareSubmission());
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(server.RecommendBatch(*session, 2).ok());
+  std::stringstream stream;
+  ASSERT_TRUE(server.SaveCheckpoint(&stream).ok());
+  std::string text = stream.str();
+
+  // Header: "session <id> <knob_dim> <iteration> <snapshot> <feasible>".
+  const size_t at = text.find("\nsession ");
+  ASSERT_NE(at, std::string::npos);
+  const size_t eol = text.find('\n', at + 1);
+  std::istringstream header(text.substr(at + 1, eol - at - 1));
+  std::string tag;
+  uint64_t id = 0;
+  size_t knob_dim = 0;
+  int iteration = 0;
+  std::string rest;
+  header >> tag >> id >> knob_dim >> iteration;
+  std::getline(header, rest);
+  ASSERT_EQ(iteration, 2);
+  text.replace(at + 1, eol - at - 1,
+               "session " + std::to_string(id) + ' ' +
+                   std::to_string(knob_dim) + " 1" + rest);
+
+  std::stringstream tampered(text);
+  ResTuneServer restored;
+  EXPECT_EQ(restored.LoadCheckpoint(&tampered).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(restored.active_sessions(), 0u);  // left as it was
 }
 
 // ------------------------------------------------- NaN/Inf ingestion guards

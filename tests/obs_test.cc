@@ -254,7 +254,6 @@ TEST_F(ObsTest, TraceSpanIsNoopWhenTracerDisabled) {
 
 TEST_F(ObsTest, CheckpointRoundTripsCounterSnapshot) {
   SessionCheckpoint checkpoint;
-  checkpoint.iteration = 0;
   checkpoint.metrics = {{"restune_gp_fits_total", 17},
                         {"restune_eval_faults_total{kind=\"crash\"}", 2}};
   std::stringstream stream;
@@ -271,7 +270,6 @@ TEST_F(ObsTest, CheckpointRoundTripsCounterSnapshot) {
 
 TEST_F(ObsTest, CheckpointWithoutMetricsSectionStillLoads) {
   SessionCheckpoint checkpoint;
-  checkpoint.iteration = 0;
   std::stringstream stream;
   ASSERT_TRUE(SaveSessionCheckpoint(checkpoint, &stream).ok());
   const auto loaded = LoadSessionCheckpoint(&stream);

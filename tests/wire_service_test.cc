@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -324,13 +325,23 @@ TEST_F(WireServiceTest, EventSessionLadderDrivesFrozenProbesOverTheWire) {
   }
 
   // Frozen: every probe pins the last known-safe configuration (still the
-  // submitted default — nothing feasible was seen), bit-identical.
+  // submitted default — nothing feasible was seen), bit-identical, and is
+  // counted in the scrape. A counter never touched is absent (-1).
+  auto frozen_probes = [&client]() {
+    const auto metrics = client->MetricsText();
+    EXPECT_TRUE(metrics.ok());
+    if (!metrics.ok()) return 0.0;
+    return std::max(
+        0.0, MetricValue(*metrics, "restune_event_frozen_probes_total"));
+  };
+  const double probes_before = frozen_probes();
   for (int i = 0; i < 3; ++i) {
     const auto probe = client->Recommend(*session);
     ASSERT_TRUE(probe.ok());
     EXPECT_TRUE(BitEq(probe->theta, sub.default_theta));
     ASSERT_TRUE(client->ReportEvaluation(FeasibleReport(*probe, 9.0)).ok());
   }
+  EXPECT_EQ(frozen_probes() - probes_before, 3.0);
 
   // Three feasible probes unfreeze into constrained: suggestions come from
   // the advisor again but clamped into the trust region around the safe

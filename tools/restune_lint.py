@@ -83,6 +83,13 @@ Rules (see docs/CORRECTNESS.md for rationale):
                    GUARDED_BY in the same class — a mutex guarding nothing
                    the analysis can check is a lock the analysis cannot
                    help with.
+  session-core     In src/: no call to an advisor's SuggestNext /
+                   SuggestNextAsync through `.` or `->` outside
+                   src/tuner/session_core.cc. The suggest → evaluate →
+                   observe loop lives once, in SessionCore, with its
+                   replay; a driver that calls the advisor itself has
+                   grown a second copy of the loop. Advisors may still
+                   call their own overloads (unqualified or via this->).
 
 Suppression, from most to least local:
   * `// restune-lint: allow(rule)` on the offending line;
@@ -748,6 +755,23 @@ def check_layering(rel, raw_lines, layering, findings):
                 "tuner/service must stay a DAG)"))
 
 
+SESSION_CORE_EXEMPT = ("src/tuner/session_core.cc",)
+SUGGEST_CALL_PATTERN = re.compile(
+    r"(?<!this)(?:\.|->)\s*SuggestNext(?:Async)?\s*\(")
+
+
+def check_session_core(rel, code_lines, raw_lines, findings):
+    if not rel.startswith("src/") or rel in SESSION_CORE_EXEMPT:
+        return
+    for lineno, line in enumerate(code_lines, 1):
+        if SUGGEST_CALL_PATTERN.search(line):
+            findings.append(Finding(
+                rel, lineno, "session-core",
+                "advisor suggestion outside SessionCore; launch through "
+                "tuner/session_core.h so the loop and its replay stay "
+                "one copy"))
+
+
 def check_guarded_by_coverage(rel, ctx, findings):
     if not rel.startswith("src/") or rel in GUARDED_BY_EXEMPT:
         return
@@ -914,6 +938,7 @@ def run_lint_with_usage(paths, root, allowlist_path):
         check_memory_order(rel, code_text, file_findings)
         check_layering(rel, raw_lines, layering, file_findings)
         check_guarded_by_coverage(rel, ctx, file_findings)
+        check_session_core(rel, code_lines, raw_lines, file_findings)
         if is_header(rel):
             check_include_guard(rel, text, file_findings)
         for f in file_findings:

@@ -734,6 +734,42 @@ def test_guarded_by_coverage_does_not_credit_nested_class_annotations():
         t.cleanup()
 
 
+def test_session_core_confines_advisor_suggestions():
+    t = FixtureTree()
+    try:
+        # A driver calling the advisor directly grows a second loop.
+        t.write("src/service/driver.cc", """\
+            Result<Vector> Next(Advisor* advisor, Advisor& other) {
+              auto a = advisor->SuggestNextAsync({});
+              auto b = other.SuggestNext();
+              return a;
+            }
+            """)
+        # The core itself is where the call belongs.
+        t.write("src/tuner/session_core.cc", """\
+            Result<Vector> SessionCore::Suggest() {
+              return advisor_->SuggestNextAsync(pending);
+            }
+            """)
+        # Advisors define and call their own overloads.
+        t.write("src/tuner/cbo_advisor.cc", """\
+            Result<Vector> CboAdvisor::SuggestNextAsync(const Pending& p) {
+              Result<Vector> next = SuggestNext();
+              return this->SuggestNext();
+            }
+            """)
+        # Tests may drive an advisor by hand.
+        t.write("tests/advisor_test.cc", """\
+            void Drive(Advisor* advisor) { (void)advisor->SuggestNext(); }
+            """)
+        findings = t.lint("src", "tests")
+        assert [(r, line, os.path.basename(p)) for r, line, p in findings] \
+            == [("session-core", 2, "driver.cc"),
+                ("session-core", 3, "driver.cc")]
+    finally:
+        t.cleanup()
+
+
 def test_lexer_handles_raw_strings_and_digit_separators():
     t = FixtureTree()
     try:
